@@ -14,11 +14,14 @@ Two operating regimes:
   with independent uniform arrival angles and phases, whose power
   spectrum converges on the classic Jakes U-shape.  The channel is then
   genuinely frequency- *and* time-selective, so scenarios are no longer
-  forced block-static.
+  forced block-static.  The sums are evaluated by an exact block
+  factorization of time (about ``2 M sqrt(n)`` exponentials and one
+  small matrix product per tap, instead of ``M n`` exponentials).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +55,40 @@ def exponential_power_delay_profile(
     return powers
 
 
+def _sum_of_sinusoids(
+    amplitude: np.ndarray,
+    omega: np.ndarray,
+    phase: np.ndarray,
+    n: int,
+    sample_rate: float,
+) -> np.ndarray:
+    """Rows ``sum_m a[k, m] exp(j(w[k, m] t + phi[k, m]))``, shape ``(K, n)``.
+
+    Evaluated at ``t = arange(n) / sample_rate`` by an exact block
+    factorization: with ``t = (q B + r) / fs`` and ``B = ceil(sqrt(n))``
+    each term splits as ``a exp(j(w q B / fs + phi)) * exp(j w r / fs)``,
+    so row ``k`` is the ``(Q, M) @ (M, B)`` product of a coarse and a
+    fine phasor table, read out row-major and cut to ``n``.  That costs
+    ``M (Q + B) ~ 2 M sqrt(n)`` exponentials per row instead of ``M n``
+    and differs from the direct sum only by rounding.
+
+    Args:
+        amplitude, omega, phase: per-sinusoid amplitude, angular
+            frequency (rad/s) and initial phase (rad), each ``(K, M)``.
+        n: number of samples.
+        sample_rate: sample rate in Hz.
+    """
+    block = max(int(np.ceil(np.sqrt(n))), 1)
+    n_blocks = -(-n // block)
+    coarse_t = np.arange(n_blocks) * block / float(sample_rate)
+    fine_t = np.arange(block) / float(sample_rate)
+    coarse = amplitude[:, None, :] * np.exp(1j * (
+        omega[:, None, :] * coarse_t[None, :, None] + phase[:, None, :]
+    ))
+    fine = np.exp(1j * omega[:, :, None] * fine_t[None, None, :])
+    return (coarse @ fine).reshape(omega.shape[0], -1)[:, :n]
+
+
 @dataclass
 class FadingChannel:
     """Rayleigh/Rician tapped-delay-line channel, block-static or Doppler.
@@ -76,6 +113,31 @@ class FadingChannel:
     normalize: bool = True
     max_doppler_hz: float = 0.0
     n_sinusoids: int = 16
+
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.rms_delay_spread_s)
+                and self.rms_delay_spread_s >= 0):
+            raise ValueError(
+                "rms_delay_spread_s must be finite and >= 0, "
+                f"got {self.rms_delay_spread_s!r}"
+            )
+        if not (np.isfinite(self.max_doppler_hz)
+                and self.max_doppler_hz >= 0):
+            raise ValueError(
+                "max_doppler_hz must be finite and >= 0 (0 is "
+                f"block-static), got {self.max_doppler_hz!r}"
+            )
+        if np.isnan(self.rice_factor_db) or self.rice_factor_db == np.inf:
+            raise ValueError(
+                "rice_factor_db must be finite, or -inf for pure "
+                f"Rayleigh, got {self.rice_factor_db!r}"
+            )
+        if (isinstance(self.n_sinusoids, bool)
+                or not isinstance(self.n_sinusoids, numbers.Integral)
+                or self.n_sinusoids < 1):
+            raise ValueError(
+                f"n_sinusoids must be an integer >= 1, got {self.n_sinusoids!r}"
+            )
 
     def realize(
         self, sample_rate: float, rng: np.random.Generator
@@ -113,41 +175,46 @@ class FadingChannel:
         ``P_k`` at every instant.  A finite Rician K-factor replaces
         part of the first tap with a line-of-sight phasor at Doppler
         ``f_d * cos(theta_0)`` for a random arrival angle ``theta_0``.
+
+        The sums are evaluated by :func:`_sum_of_sinusoids`, an exact
+        block factorization: about ``2 M sqrt(n)`` complex exponentials
+        and one small matrix product per tap instead of ``M n``
+        exponentials.  Random draws, per tap in tap order: ``M`` arrival
+        angles, then ``M`` phases; after tap 0, ``theta_0`` then
+        ``phi_0`` when the channel is Rician.
         """
         if self.max_doppler_hz <= 0:
             raise ValueError("realize_time_varying needs max_doppler_hz > 0")
-        if self.n_sinusoids < 1:
-            raise ValueError("n_sinusoids must be >= 1")
         powers = exponential_power_delay_profile(
             self.rms_delay_spread_s, sample_rate
         )
-        m = int(self.n_sinusoids)
-        t = np.arange(int(n_samples)) / float(sample_rate)
-        fd = float(self.max_doppler_hz)
+        m = self.n_sinusoids
+        w_d = 2.0 * np.pi * float(self.max_doppler_hz)
         k_factor = (
             10.0 ** (self.rice_factor_db / 10.0)
             if np.isfinite(self.rice_factor_db)
             else 0.0
         )
-        taps = np.empty((powers.size, int(n_samples)), dtype=complex)
-        for k, power in enumerate(powers):
-            angles = rng.uniform(0.0, 2.0 * np.pi, m)
-            phases = rng.uniform(0.0, 2.0 * np.pi, m)
-            # (m, n) phase ramps summed down to one trajectory per tap.
-            ramps = (
-                2.0 * np.pi * fd * np.cos(angles)[:, None] * t[None, :]
-                + phases[:, None]
-            )
-            diffuse = np.exp(1j * ramps).sum(axis=0) * np.sqrt(power / m)
+        # One row of sinusoids per tap; a Rician channel adds one more
+        # column, the line-of-sight phasor, with zero amplitude off tap 0.
+        width = m + 1 if k_factor > 0.0 else m
+        angles = np.zeros((powers.size, width))
+        phases = np.zeros((powers.size, width))
+        amplitude = np.zeros((powers.size, width))
+        amplitude[:, :m] = np.sqrt(powers / m)[:, None]
+        for k in range(powers.size):
+            angles[k, :m] = rng.uniform(0.0, 2.0 * np.pi, m)
+            phases[k, :m] = rng.uniform(0.0, 2.0 * np.pi, m)
             if k == 0 and k_factor > 0.0:
-                theta0 = rng.uniform(0.0, 2.0 * np.pi)
-                phi0 = rng.uniform(0.0, 2.0 * np.pi)
-                los = np.sqrt(power * k_factor / (k_factor + 1.0)) * np.exp(
-                    1j * (2.0 * np.pi * fd * np.cos(theta0) * t + phi0)
-                )
-                diffuse = diffuse / np.sqrt(k_factor + 1.0) + los
-            taps[k] = diffuse
-        return taps
+                angles[0, m] = rng.uniform(0.0, 2.0 * np.pi)
+                phases[0, m] = rng.uniform(0.0, 2.0 * np.pi)
+        if k_factor > 0.0:
+            amplitude[0, :m] /= np.sqrt(k_factor + 1.0)
+            amplitude[0, m] = np.sqrt(powers[0] * k_factor / (k_factor + 1.0))
+        return _sum_of_sinusoids(
+            amplitude, w_d * np.cos(angles), phases, int(n_samples),
+            sample_rate,
+        )
 
     def process(self, signal: Signal, rng: np.random.Generator) -> Signal:
         """Convolve the signal with one channel realization.

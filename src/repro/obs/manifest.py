@@ -20,6 +20,7 @@ from typing import Any, Dict, Optional
 
 __all__ = [
     "EMITTER_SCHEME",
+    "FADING_SCHEME",
     "RETRY_SCHEME",
     "RunManifest",
     "SEEDING_SCHEME",
@@ -46,6 +47,14 @@ RETRY_SCHEME = "retry-spawn-v1"
 #: path's generator state, so enabling an emitter never advances — and
 #: therefore never perturbs — the wanted path's noise/payload draws.
 EMITTER_SCHEME = "emitter-fork-v1"
+
+#: Identifier of the time-varying fading synthesis (see
+#: :meth:`repro.channel.fading.FadingChannel.realize_time_varying`).
+#: The Jakes sum-of-sinusoids taps are evaluated by an exact block
+#: factorization; it draws the same random numbers as the direct sum
+#: and differs from it only by rounding, but raw samples are not
+#: bit-identical to runs made before it, so stored runs record it.
+FADING_SCHEME = "jakes-sos-blockfactor-v1"
 
 
 def source_revision() -> Optional[str]:
@@ -117,6 +126,8 @@ class RunManifest:
             :func:`repro.perf.seeding.attempt_seed`).
         emitter_seeding: interference-emitter stream derivation in
             effect (see :func:`repro.channel.streams.fork_stream`).
+        fading_synthesis: time-varying fading synthesis in effect (see
+            :data:`FADING_SCHEME`).
     """
 
     run_id: str
@@ -130,6 +141,7 @@ class RunManifest:
     seeding: str = SEEDING_SCHEME
     retry_seeding: str = RETRY_SCHEME
     emitter_seeding: str = EMITTER_SCHEME
+    fading_synthesis: str = FADING_SCHEME
 
     def as_dict(self) -> Dict[str, Any]:
         d = dataclasses.asdict(self)
@@ -173,4 +185,5 @@ def build_manifest(
         seeding=SEEDING_SCHEME,
         retry_seeding=RETRY_SCHEME,
         emitter_seeding=EMITTER_SCHEME,
+        fading_synthesis=FADING_SCHEME,
     )

@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.channel.fading import FadingChannel
+from repro.channel.fading import (
+    FadingChannel,
+    exponential_power_delay_profile,
+)
 from repro.channel.interference import (
     AdjacentChannelSource,
     InterferenceScenario,
@@ -97,6 +100,10 @@ class TestEmitterStreamForking:
     def test_manifest_records_emitter_scheme(self):
         manifest = obs.build_manifest(seed=0).as_dict()
         assert manifest["emitter_seeding"] == "emitter-fork-v1"
+
+    def test_manifest_records_fading_scheme(self):
+        manifest = obs.build_manifest(seed=0).as_dict()
+        assert manifest["fading_synthesis"] == "jakes-sos-blockfactor-v1"
 
 
 class TestPowerConventions:
@@ -323,9 +330,8 @@ class TestFadingEdgeCases:
         ch = FadingChannel()
         with pytest.raises(ValueError, match="max_doppler_hz"):
             ch.realize_time_varying(64, 20e6, np.random.default_rng(0))
-        bad = FadingChannel(max_doppler_hz=30.0, n_sinusoids=0)
         with pytest.raises(ValueError, match="n_sinusoids"):
-            bad.realize_time_varying(64, 20e6, np.random.default_rng(0))
+            FadingChannel(max_doppler_hz=30.0, n_sinusoids=0)
 
     def test_doppler_taps_have_unit_expected_power(self):
         ch = FadingChannel(rms_delay_spread_s=100e-9, max_doppler_hz=200.0)
@@ -350,6 +356,165 @@ class TestFadingEdgeCases:
         assert gain[:256].mean() != pytest.approx(
             gain[-256:].mean(), rel=1e-6
         )
+
+
+
+class TestFadingValidation:
+    """A bad fading config fails at construction, not inside a worker."""
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"max_doppler_hz": -30.0}, "max_doppler_hz"),
+        ({"max_doppler_hz": float("nan")}, "max_doppler_hz"),
+        ({"max_doppler_hz": float("inf")}, "max_doppler_hz"),
+        ({"rice_factor_db": float("nan")}, "rice_factor_db"),
+        ({"rice_factor_db": float("inf")}, "rice_factor_db"),
+        ({"rms_delay_spread_s": -50e-9}, "rms_delay_spread_s"),
+        ({"rms_delay_spread_s": float("nan")}, "rms_delay_spread_s"),
+        ({"n_sinusoids": 0}, "n_sinusoids"),
+        ({"n_sinusoids": 2.5}, "n_sinusoids"),
+        ({"n_sinusoids": True}, "n_sinusoids"),
+    ])
+    def test_bad_parameters_rejected_at_construction(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            FadingChannel(**kwargs)
+
+    def test_bad_doppler_rejected_by_scenario_config(self):
+        with pytest.raises(ValueError, match="max_doppler_hz"):
+            Scenario.from_config({"fading": {"max_doppler_hz": -30}})
+
+    def test_valid_corners_accepted(self):
+        FadingChannel(rms_delay_spread_s=0.0, rice_factor_db=-np.inf)
+        FadingChannel(max_doppler_hz=0.0, rice_factor_db=-20.0)
+        FadingChannel(max_doppler_hz=30.0, n_sinusoids=np.int64(1))
+
+
+def _direct_jakes(channel, n_samples, sample_rate, rng):
+    """The direct ``(M, n)`` sum-of-sinusoids synthesis, as a test oracle.
+
+    One complex exponential per sinusoid per sample, with the same draws
+    in the same order as :meth:`FadingChannel.realize_time_varying`.
+    """
+    powers = exponential_power_delay_profile(
+        channel.rms_delay_spread_s, sample_rate
+    )
+    m = channel.n_sinusoids
+    t = np.arange(n_samples) / float(sample_rate)
+    fd = float(channel.max_doppler_hz)
+    k_factor = (
+        10.0 ** (channel.rice_factor_db / 10.0)
+        if np.isfinite(channel.rice_factor_db)
+        else 0.0
+    )
+    taps = np.empty((powers.size, n_samples), dtype=complex)
+    for k, power in enumerate(powers):
+        angles = rng.uniform(0.0, 2.0 * np.pi, m)
+        phases = rng.uniform(0.0, 2.0 * np.pi, m)
+        ramps = (
+            2.0 * np.pi * fd * np.cos(angles)[:, None] * t[None, :]
+            + phases[:, None]
+        )
+        diffuse = np.exp(1j * ramps).sum(axis=0) * np.sqrt(power / m)
+        if k == 0 and k_factor > 0.0:
+            theta0 = rng.uniform(0.0, 2.0 * np.pi)
+            phi0 = rng.uniform(0.0, 2.0 * np.pi)
+            los = np.sqrt(power * k_factor / (k_factor + 1.0)) * np.exp(
+                1j * (2.0 * np.pi * fd * np.cos(theta0) * t + phi0)
+            )
+            diffuse = diffuse / np.sqrt(k_factor + 1.0) + los
+        taps[k] = diffuse
+    return taps
+
+
+class TestJakesBlockFactorization:
+    """The block-factorized synthesis equals the direct sum to rounding."""
+
+    # 75**2 and 75**2 + 1 put n on and just past a square, where the
+    # block size B = ceil(sqrt(n)) steps and the last block is full or
+    # holds one sample.
+    @pytest.mark.parametrize("n", [1, 7, 75 ** 2, 75 ** 2 + 1, 5680, 12345])
+    @pytest.mark.parametrize("rice_factor_db", [-np.inf, 6.0])
+    def test_matches_direct_synthesis(self, n, rice_factor_db):
+        channel = FadingChannel(
+            rms_delay_spread_s=50e-9, max_doppler_hz=30.0,
+            rice_factor_db=rice_factor_db,
+        )
+        rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+        taps = channel.realize_time_varying(n, 80e6, rng)
+        expected = _direct_jakes(channel, n, 80e6, oracle_rng)
+        assert taps.shape == expected.shape == (29, n)
+        assert np.max(np.abs(taps - expected)) <= 1e-12
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_matches_direct_synthesis_at_high_doppler(self):
+        channel = FadingChannel(
+            rms_delay_spread_s=100e-9, max_doppler_hz=2000.0,
+            rice_factor_db=6.0, n_sinusoids=7,
+        )
+        rng, oracle_rng = np.random.default_rng(6), np.random.default_rng(6)
+        taps = channel.realize_time_varying(4096, 20e6, rng)
+        expected = _direct_jakes(channel, 4096, 20e6, oracle_rng)
+        assert np.max(np.abs(taps - expected)) <= 1e-12
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.slow
+class TestClarkeStatistics:
+    """Ensemble statistics of the Jakes taps follow Clarke's model.
+
+    With uniform arrival angles, ``E[exp(j 2 pi f_d cos(a) tau)] =
+    J0(2 pi f_d tau)`` for every ``M``, and the random line-of-sight
+    angle of a Rician tap has the same expectation, so the normalized
+    autocorrelation of both is ``J0(2 pi f_d tau)``.  Each check allows
+    4.5 standard errors of the ensemble mean.
+    """
+
+    Z = 4.5
+    FD = 100.0
+    FS = 10e3
+    LAGS = [1, 5, 10, 20, 38, 60, 88]
+
+    @pytest.mark.parametrize("rice_factor_db", [-np.inf, 6.0])
+    def test_expected_tap_power_is_unity(self, rice_factor_db):
+        channel = FadingChannel(
+            rms_delay_spread_s=100e-9, max_doppler_hz=2000.0,
+            rice_factor_db=rice_factor_db,
+        )
+        rng = np.random.default_rng(11)
+        power = np.array([
+            np.sum(np.abs(channel.realize_time_varying(64, 20e6, rng)) ** 2,
+                   axis=0).mean()
+            for _ in range(3000)
+        ])
+        sem = power.std(ddof=1) / np.sqrt(power.size)
+        assert sem < 0.02
+        assert abs(power.mean() - 1.0) <= self.Z * sem
+
+    @pytest.mark.parametrize("rice_factor_db", [-np.inf, 6.0])
+    def test_autocorrelation_follows_bessel_j0(self, rice_factor_db):
+        from scipy.special import j0
+
+        channel = FadingChannel(
+            rms_delay_spread_s=0.0, max_doppler_hz=self.FD,
+            rice_factor_db=rice_factor_db,
+        )
+        rng = np.random.default_rng(12)
+        n = max(self.LAGS) + 1
+        corr = np.array([
+            [np.mean(g[lag:] * np.conj(g[: n - lag])) for lag in self.LAGS]
+            for g in (
+                channel.realize_time_varying(n, self.FS, rng)[0]
+                for _ in range(4000)
+            )
+        ])
+        mean = corr.mean(axis=0)
+        sem_re = corr.real.std(axis=0, ddof=1) / np.sqrt(len(corr))
+        sem_im = corr.imag.std(axis=0, ddof=1) / np.sqrt(len(corr))
+        theory = j0(2.0 * np.pi * self.FD * np.array(self.LAGS) / self.FS)
+        assert np.all(sem_re < 0.03)
+        assert np.all(np.abs(mean.real - theory) <= self.Z * sem_re), (
+            mean.real, theory, sem_re,
+        )
+        assert np.all(np.abs(mean.imag) <= self.Z * sem_im)
 
 
 class TestScenarioConfig:
