@@ -27,8 +27,10 @@ from repro.core.metrics import (
     BerMeasurement,
     error_vector_magnitude,
 )
+from repro.dsp.params import MAX_PSDU_BYTES
 from repro.dsp.receiver import Receiver, RxConfig, RxResult
 from repro.dsp.transmitter import Transmitter, TxConfig, random_psdu
+from repro.rf.filters import resample_poly
 from repro.rf.frontend import DoubleConversionReceiver, FrontendConfig
 from repro.rf.signal import Signal
 from repro.scenario import Scenario
@@ -151,6 +153,14 @@ class TestbenchConfig:
         guard_samples: leading/trailing zero padding at 20 MHz.
         genie_rx: use genie timing/CFO (only sensible without a front
             end, whose group delay requires real synchronization).
+
+    Raises:
+        ValueError: at construction when ``psdu_bytes`` is outside
+            ``1..MAX_PSDU_BYTES``, ``snr_db`` is NaN or infinite (None
+            stays valid), ``input_level_dbm`` is not finite or
+            ``guard_samples`` is negative — so a bad sweep point fails
+            before any packet is dispatched instead of inside a pool
+            worker or as a plausible-looking BER.
     """
 
     rate_mbps: int = 24
@@ -169,6 +179,25 @@ class TestbenchConfig:
 
     #: Not a pytest test class, despite the name.
     __test__ = False
+
+    def __post_init__(self):
+        if not 1 <= self.psdu_bytes <= MAX_PSDU_BYTES:
+            raise ValueError(
+                f"psdu_bytes must be in 1..{MAX_PSDU_BYTES}, "
+                f"got {self.psdu_bytes!r}"
+            )
+        if self.snr_db is not None and not np.isfinite(self.snr_db):
+            raise ValueError(
+                f"snr_db must be finite or None, got {self.snr_db!r}"
+            )
+        if not np.isfinite(self.input_level_dbm):
+            raise ValueError(
+                f"input_level_dbm must be finite, got {self.input_level_dbm!r}"
+            )
+        if self.guard_samples < 0:
+            raise ValueError(
+                f"guard_samples must be non-negative, got {self.guard_samples!r}"
+            )
 
 
 @dataclass
@@ -254,10 +283,16 @@ class WlanTestbench:
             )
         else:
             self._rx_config = RxConfig()
-        # Transmitter and receiver are stateless across packets; build
+        # Transmitter, receiver and RF front end are stateless across
+        # packets (the AGC's diagnostic ``last_gain_db`` aside); build
         # them once instead of per packet (and per chunk in workers).
         self._transmitter = Transmitter(self._tx_config)
         self._receiver = Receiver(self._rx_config)
+        self._frontend = (
+            _build_frontend(config.frontend)
+            if config.frontend is not None
+            else None
+        )
 
     # ------------------------------------------------------------------
     def run_packet(
@@ -367,9 +402,9 @@ class WlanTestbench:
         if probes.enabled:
             probes.tap("channel", sig.samples, sig.sample_rate)
 
-        if cfg.frontend is not None:
+        if self._frontend is not None:
+            frontend = self._frontend
             with obs.span("block:rf_frontend", samples=len(sig)):
-                frontend = _build_frontend(cfg.frontend)
                 if probes.enabled:
                     # stage_outputs is exactly process() with the
                     # intermediate signals kept (identical rng usage).
@@ -387,8 +422,6 @@ class WlanTestbench:
         elif self.oversample > 1:
             # No RF front end: decimate back to 20 MHz for the receiver
             # (ideal anti-alias — the DSP-only configuration).
-            from scipy.signal import resample_poly
-
             with obs.span("block:decimator", samples=len(sig)):
                 sig = Signal(
                     resample_poly(sig.samples, 1, self.oversample),

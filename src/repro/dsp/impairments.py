@@ -12,9 +12,9 @@ from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from repro.dsp.params import SAMPLE_RATE
+from repro.rf.filters import resample_poly
 
 
 def apply_frequency_offset(

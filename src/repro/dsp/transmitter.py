@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from repro.dsp.convcode import ConvolutionalEncoder, puncture
 from repro.dsp.interleaver import interleave
@@ -28,6 +27,7 @@ from repro.dsp.params import (
 )
 from repro.dsp.preamble import encode_signal_field, preamble
 from repro.dsp.scrambler import Scrambler
+from repro.rf.filters import butter_sos, resample_poly, sosfiltfilt
 
 
 @dataclass(frozen=True)
@@ -190,21 +190,18 @@ class Transmitter:
             axis=1,
         )
         if self.config.oversample > 1:
-            ppdu = resample_poly(ppdu, self.config.oversample, 1, axis=-1)
+            ppdu = resample_poly(ppdu, self.config.oversample, 1)
             if self.config.spectral_shaping:
                 ppdu = self._shape(ppdu)
         return ppdu, symbols
 
     def _shape(self, samples: np.ndarray) -> np.ndarray:
         """Zero-phase transmit pulse shaping (mask filter); last-axis N-D."""
-        from scipy.signal import butter, sosfiltfilt
-
         fs = self.config.sample_rate
         edge = self.config.shaping_edge_hz
         if edge >= fs / 2.0:
             return samples
-        sos = butter(7, edge / (fs / 2.0), btype="low", output="sos")
-        return sosfiltfilt(sos, samples, axis=-1)
+        return sosfiltfilt(butter_sos(7, edge / (fs / 2.0), "low"), samples)
 
 
 def random_psdu(n_bytes: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import resample_poly
 
+from repro.rf.filters import resample_poly
 from repro.rf.signal import Signal, dbm_to_watts
 
 

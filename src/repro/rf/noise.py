@@ -9,8 +9,11 @@ injection conditional; see :mod:`repro.flow.cosim`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+from repro.rf.signal import ENVELOPE_CACHE_SIZE
 
 #: Boltzmann constant [J/K].
 BOLTZMANN = 1.380649e-23
@@ -41,6 +44,26 @@ def white_noise(
     return sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
+@lru_cache(maxsize=ENVELOPE_CACHE_SIZE)
+def _flicker_amplitude(
+    n: int, corner_hz: float, sample_rate: float
+) -> np.ndarray:
+    """Square root of the 1/f PSD shape on the ``n``-point FFT grid.
+
+    Read-only and shared across calls with the same parameters.
+    """
+    freqs = np.fft.fftfreq(n, d=1.0 / sample_rate)
+    shape = np.zeros(n)
+    nonzero = freqs != 0
+    # PSD ~ corner/|f|, capped at the level of the first non-DC bin so the
+    # synthesis does not diverge near DC.
+    cap = corner_hz / max(sample_rate / n, 1e-9)
+    shape[nonzero] = np.minimum(corner_hz / np.abs(freqs[nonzero]), cap)
+    amplitude = np.sqrt(shape)
+    amplitude.setflags(write=False)
+    return amplitude
+
+
 def flicker_noise(
     n: int,
     power_watts: float,
@@ -65,14 +88,7 @@ def flicker_noise(
         return np.zeros(0, dtype=complex)
     if power_watts < 0:
         raise ValueError("noise power must be non-negative")
-    freqs = np.fft.fftfreq(n, d=1.0 / sample_rate)
-    shape = np.zeros(n)
-    nonzero = freqs != 0
-    # PSD ~ corner/|f|, capped at the level of the first non-DC bin so the
-    # synthesis does not diverge near DC.
-    cap = corner_hz / max(sample_rate / n, 1e-9)
-    shape[nonzero] = np.minimum(corner_hz / np.abs(freqs[nonzero]), cap)
-    spectrum = np.sqrt(shape) * (
+    spectrum = _flicker_amplitude(n, corner_hz, sample_rate) * (
         rng.standard_normal(n) + 1j * rng.standard_normal(n)
     )
     noise = np.fft.ifft(spectrum)

@@ -10,9 +10,30 @@ VCO / Wiener) profile specified as L(f) dBc/Hz at a reference offset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+
+from repro.rf.signal import ENVELOPE_CACHE_SIZE
+
+
+def _error_phase(error_hz: float, n: int, sample_rate: float) -> np.ndarray:
+    """Envelope phase left by an LO frequency error of ``error_hz``."""
+    t = np.arange(n) / sample_rate
+    # Down-conversion by an LO that runs high by df leaves the envelope
+    # rotating at -df.
+    return -2.0 * np.pi * error_hz * t
+
+
+@lru_cache(maxsize=ENVELOPE_CACHE_SIZE)
+def _error_rotator(
+    error_hz: float, n: int, sample_rate: float
+) -> np.ndarray:
+    """``exp(1j * phase)`` of :func:`_error_phase`, read-only and shared."""
+    rotator = np.exp(1j * _error_phase(error_hz, n, sample_rate))
+    rotator.setflags(write=False)
+    return rotator
 
 
 @dataclass
@@ -74,11 +95,15 @@ class LocalOscillator:
             sample_rate: envelope sample rate.
             rng: random generator; when None, phase noise is skipped (the
                 co-simulation "no noise functions" mode).
+
+        Returns:
+            A new array; without phase noise it is a copy of a cached
+            rotator.
         """
-        t = np.arange(n) / sample_rate
-        # Down-conversion by an LO that runs high by df leaves the envelope
-        # rotating at -df.
-        phase = -2.0 * np.pi * self.frequency_error_hz * t
-        if self.phase_noise_dbc_hz is not None and rng is not None:
-            phase = phase - self.phase_noise_process(n, sample_rate, rng)
-        return np.exp(1j * phase)
+        if self.phase_noise_dbc_hz is None or rng is None:
+            return _error_rotator(
+                self.frequency_error_hz, n, sample_rate
+            ).copy()
+        phase = _error_phase(self.frequency_error_hz, n, sample_rate)
+        noise = self.phase_noise_process(n, sample_rate, rng)
+        return np.exp(1j * (phase - noise))

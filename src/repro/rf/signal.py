@@ -10,8 +10,14 @@ simulation one: the instantaneous envelope power in watts is ``|x|**2``
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
+
+#: Entry bound of the caches of deterministic envelope-length arrays
+#: (channel-shift and LO rotators, the flicker PSD shape): one entry per
+#: distinct parameter set, each holding one envelope's worth.
+ENVELOPE_CACHE_SIZE = 16
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -34,6 +40,16 @@ def db_to_linear(db: float) -> float:
 def db_to_amplitude(db: float) -> float:
     """Convert a power ratio in dB to a linear amplitude ratio."""
     return 10.0 ** (db / 20.0)
+
+
+@lru_cache(maxsize=ENVELOPE_CACHE_SIZE)
+def _shift_rotator(
+    offset_hz: float, n: int, sample_rate: float
+) -> np.ndarray:
+    """``exp(2j*pi*offset*t)`` over ``n`` samples, read-only and shared."""
+    rotator = np.exp(2j * np.pi * offset_hz * (np.arange(n) / sample_rate))
+    rotator.setflags(write=False)
+    return rotator
 
 
 @dataclass
@@ -111,7 +127,9 @@ class Signal:
         The carrier reference is unchanged; the envelope spectrum moves.
         Used to place an adjacent channel 20 MHz from the wanted one.
         """
-        rotator = np.exp(2j * np.pi * offset_hz * self.time)
+        rotator = _shift_rotator(
+            offset_hz, self.samples.size, self.sample_rate
+        )
         return self.with_samples(self.samples * rotator)
 
     def delayed(self, n_samples: int) -> "Signal":

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy import signal as sps
 
+from repro.rf import filters as kernels
 from repro.rf.filters import (
     BandwidthLimitError,
     butterworth_highpass,
@@ -10,7 +12,9 @@ from repro.rf.filters import (
     chebyshev_lowpass,
     wideband_bandpass,
 )
-from repro.rf.signal import Signal
+from repro.rf.noise import _flicker_amplitude
+from repro.rf.oscillator import LocalOscillator, _error_rotator
+from repro.rf.signal import Signal, _shift_rotator
 
 
 def _tone(f, fs=80e6, n=16384):
@@ -104,3 +108,190 @@ class TestBandpassRestriction:
         assert "lowpass" in chebyshev_lowpass(8e6, 80e6).description
         assert "highpass" in butterworth_highpass(1e5, 80e6).description
         assert "composite" in wideband_bandpass(1e6, 9e6, 80e6).description
+
+
+# ----------------------------------------------------------------------
+# Kernel layer: every kernel returns exactly what scipy returns.
+
+#: Designs of the packet path: the order-7 Butterworth transmit shaper,
+#: order-1/order-2 Butterworth DC blocks (their zero-valued ``b2``/``a2``
+#: coefficients shorten ``sosfiltfilt``'s pad) and the order-7 Chebyshev
+#: channel filter.
+DESIGNS = {
+    "butter7-low": sps.butter(7, 9.5e6 / 40e6, output="sos"),
+    "butter1-high": sps.butter(1, 200e3 / 40e6, btype="high", output="sos"),
+    "butter2-high": sps.butter(2, 120e3 / 40e6, btype="high", output="sos"),
+    "cheby7-low": sps.cheby1(7, 0.5, 8.6e6 / 40e6, output="sos"),
+}
+
+
+def _signal(shape, complex_valued, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    if complex_valued:
+        x = x + 1j * rng.standard_normal(shape)
+    return x
+
+
+def _identical(a, b):
+    """Same shape, dtype and bytes (so signed zeros count too)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and np.ascontiguousarray(a).tobytes()
+        == np.ascontiguousarray(b).tobytes()
+    )
+
+
+SHAPES = [(1001,), (3, 1001)]
+
+
+class TestKernelIdentity:
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_sosfilt(self, design, shape, complex_valued):
+        sos = DESIGNS[design]
+        x = _signal(shape, complex_valued)
+        assert _identical(kernels.sosfilt(sos, x), sps.sosfilt(sos, x))
+
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_sosfiltfilt(self, design, shape, complex_valued):
+        sos = DESIGNS[design]
+        x = _signal(shape, complex_valued)
+        assert _identical(
+            kernels.sosfiltfilt(sos, x), sps.sosfiltfilt(sos, x)
+        )
+
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_sosfiltfilt_pad_length_boundary(self, design, complex_valued):
+        sos = DESIGNS[design]
+        ntaps = 2 * len(sos) + 1 - min(
+            (sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum()
+        )
+        padlen = 3 * ntaps
+        at = _signal((padlen,), complex_valued)
+        with pytest.raises(ValueError) as ours:
+            kernels.sosfiltfilt(sos, at)
+        with pytest.raises(ValueError) as theirs:
+            sps.sosfiltfilt(sos, at)
+        assert str(ours.value) == str(theirs.value)
+        above = _signal((2, padlen + 1), complex_valued)
+        assert _identical(
+            kernels.sosfiltfilt(sos, above), sps.sosfiltfilt(sos, above)
+        )
+
+    def test_order_one_highpass_pad_is_shortened(self):
+        sos = DESIGNS["butter1-high"]
+        # Full pad would be 3 * (2 * 1 + 1) = 9; the zero b2/a2 pair
+        # shortens it to 6, so a 7-sample input is filterable.
+        x = _signal((7,), True)
+        assert _identical(kernels.sosfiltfilt(sos, x), sps.sosfiltfilt(sos, x))
+
+    @pytest.mark.parametrize(
+        "up, down", [(2, 1), (4, 1), (6, 1), (1, 4), (3, 2), (8, 4)]
+    )
+    @pytest.mark.parametrize("shape", [(997,), (3, 997)])
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_resample_poly(self, up, down, shape, complex_valued):
+        x = _signal(shape, complex_valued)
+        assert _identical(
+            kernels.resample_poly(x, up, down),
+            sps.resample_poly(x, up, down, axis=-1),
+        )
+
+    def test_resample_poly_high_ratio_is_exact_and_not_cached(self):
+        x = _signal((400,), True)
+        before = kernels._resample_fir.cache_info().currsize
+        out = kernels.resample_poly(x, 101, 100)
+        assert _identical(out, sps.resample_poly(x, 101, 100))
+        assert kernels._resample_fir.cache_info().currsize == before
+
+    def test_resample_poly_unit_ratio_copies(self):
+        x = _signal((50,), True)
+        out = kernels.resample_poly(x, 3, 3)
+        assert _identical(out, x)
+        assert out is not x
+
+    def test_analog_filter_process_matches_scipy(self):
+        filt = chebyshev_lowpass(8.6e6, 80e6, order=7)
+        sig = _tone(3e6)
+        expected = sps.sosfilt(
+            sps.cheby1(7, 0.5, 8.6e6 / 40e6, output="sos"), sig.samples
+        )
+        assert _identical(filt.process(sig).samples, expected)
+
+    @pytest.mark.parametrize("wn", [0.1, (0.2, 0.3)])
+    def test_design_helpers_match_scipy(self, wn):
+        btype = "band" if np.ndim(wn) else "low"
+        assert _identical(
+            kernels.butter_sos(3, wn, btype),
+            sps.butter(3, wn, btype=btype, output="sos"),
+        )
+        assert _identical(
+            kernels.cheby1_sos(3, 0.5, wn, btype),
+            sps.cheby1(3, 0.5, wn, btype=btype, output="sos"),
+        )
+
+
+class TestCacheSafety:
+    @pytest.mark.parametrize(
+        "cache",
+        [
+            kernels._butter,
+            kernels._cheby1,
+            kernels._sosfilt_zi,
+            kernels._resample_fir,
+            _shift_rotator,
+            _error_rotator,
+            _flicker_amplitude,
+        ],
+        ids=lambda cache: cache.__name__,
+    )
+    def test_design_caches_are_bounded(self, cache):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and maxsize <= kernels.CACHE_SIZE
+
+    def test_cache_stays_within_bound_when_flooded(self):
+        for k in range(3 * kernels.CACHE_SIZE):
+            butterworth_highpass(1e3 * (k + 1), 80e6)
+        info = kernels._butter.cache_info()
+        assert info.currsize <= info.maxsize
+
+    def test_mutating_filter_sos_does_not_leak(self):
+        first = chebyshev_lowpass(8.6e6, 80e6, order=7)
+        first.sos[:] = 0.0
+        second = chebyshev_lowpass(8.6e6, 80e6, order=7)
+        design = sps.cheby1(7, 0.5, 8.6e6 / 40e6, output="sos")
+        assert _identical(second.sos, design)
+        sig = _tone(2e6)
+        assert _identical(
+            second.process(sig).samples, sps.sosfilt(design, sig.samples)
+        )
+
+    def test_mutating_design_helper_result_does_not_leak(self):
+        from repro.dsp.transmitter import Transmitter, TxConfig
+
+        psdu = np.arange(40, dtype=np.uint8)
+        tx = Transmitter(TxConfig(oversample=4))
+        before = tx.transmit(psdu)
+        kernels.butter_sos(7, 9.5e6 / 40e6, "low")[:] = 0.0
+        assert _identical(tx.transmit(psdu), before)
+
+    def test_mutating_rotator_does_not_leak(self):
+        lo = LocalOscillator(frequency_hz=2.6e9, frequency_error_ppm=10.0)
+        first = lo.envelope_rotation(256, 80e6)
+        expected = first.copy()
+        first[:] = 0.0
+        assert _identical(lo.envelope_rotation(256, 80e6), expected)
+
+    def test_shift_leaves_cached_rotator_intact(self):
+        sig = _tone(1e6, n=512)
+        shifted = sig.shifted(20e6)
+        expected = shifted.samples.copy()
+        shifted.samples[:] = 0.0
+        assert _identical(sig.shifted(20e6).samples, expected)

@@ -148,3 +148,74 @@ class TestRfBench:
     def test_interference_scenario_none_native_rate(self):
         tb = WlanTestbench(TestbenchConfig(rate_mbps=24, snr_db=20.0))
         assert tb.oversample == 1
+
+
+class TestConfigValidation:
+    """Bad configs fail at construction, not inside a pool worker."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("psdu_bytes", 0),
+            ("psdu_bytes", -5),
+            ("psdu_bytes", 4096),
+            ("snr_db", float("nan")),
+            ("snr_db", float("inf")),
+            ("snr_db", float("-inf")),
+            ("input_level_dbm", float("nan")),
+            ("input_level_dbm", float("inf")),
+            ("input_level_dbm", float("-inf")),
+            ("guard_samples", -1),
+        ],
+    )
+    def test_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TestbenchConfig(**{field: value})
+
+    def test_rejected_by_sweep_style_replace(self):
+        with pytest.raises(ValueError, match="snr_db"):
+            replace(TestbenchConfig(), snr_db=float("nan"))
+
+    def test_valid_corners_accepted(self):
+        TestbenchConfig(psdu_bytes=1, guard_samples=0)
+        TestbenchConfig(psdu_bytes=4095, snr_db=None)
+        TestbenchConfig(snr_db=-10.0, input_level_dbm=-100.0)
+
+
+class TestFrontendReuse:
+    def test_frontend_built_once_across_batches(self, monkeypatch):
+        from repro.rf.frontend import DoubleConversionReceiver
+
+        builds = []
+        original = DoubleConversionReceiver.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DoubleConversionReceiver, "__init__", counting_init)
+        bench = WlanTestbench(
+            TestbenchConfig(
+                rate_mbps=24,
+                psdu_bytes=40,
+                thermal_floor=True,
+                frontend=FrontendConfig(),
+            )
+        )
+        for seed in range(3):
+            rngs = [np.random.default_rng([seed, k]) for k in range(2)]
+            bench.run_packet_batch(rngs)
+        bench.run_packet(np.random.default_rng(9))
+        assert len(builds) == 1
+
+    def test_reused_frontend_matches_fresh_build(self):
+        config = TestbenchConfig(
+            rate_mbps=24, psdu_bytes=40, thermal_floor=True,
+            frontend=FrontendConfig(),
+        )
+        bench = WlanTestbench(config)
+        bench.run_packet(np.random.default_rng(1))
+        again = bench.run_packet(np.random.default_rng(2))
+        fresh = WlanTestbench(config).run_packet(np.random.default_rng(2))
+        assert np.array_equal(again.rx_result.psdu, fresh.rx_result.psdu)
+        assert again.bit_errors == fresh.bit_errors
