@@ -9,10 +9,10 @@ power spectral density around the 5.2 GHz carrier.
 
 import numpy as np
 
-from repro.channel.interference import InterferenceScenario
 from repro.core.reporting import render_ascii_plot, render_table
 from repro.dsp.transmitter import Transmitter, TxConfig, random_psdu
 from repro.rf.signal import Signal
+from repro.scenario import Scenario, WlanEmitter
 from repro.spectrum.psd import adjacent_channel_power_ratio_db, welch_psd
 
 
@@ -22,7 +22,7 @@ def _spectrum():
         random_psdu(500, rng)
     )
     wanted = Signal(wave, 80e6, 5.2e9).scaled_to_dbm(-40.0)
-    combined = InterferenceScenario.adjacent().apply(wanted, rng)
+    combined = Scenario.preset("adjacent-16db").apply(wanted, rng)
     psd = welch_psd(combined, nperseg=2048)
     acpr = adjacent_channel_power_ratio_db(combined)
     return psd, acpr
@@ -62,10 +62,8 @@ def test_fig4_ofdm_and_adjacent_channel(benchmark, save_result):
 
 def test_fig4_oversampling_requirement(benchmark):
     """Without oversampling the 20 MHz offset violates Nyquist."""
-    from repro.channel.interference import AdjacentChannelSource
-
     def attempt():
-        src = AdjacentChannelSource(offset_channels=1)
+        src = WlanEmitter(offset_channels=1)
         try:
             src.generate(1000, 20e6, 1e-6, np.random.default_rng(0))
         except ValueError as exc:

@@ -11,11 +11,11 @@ a rise back toward 0.5 once the passband admits the adjacent channel
 
 import numpy as np
 
-from repro.channel.interference import InterferenceScenario
 from repro.core.reporting import render_ascii_plot, render_table
 from repro.core.sweep import ParameterSweep
 from repro.core.testbench import TestbenchConfig
 from repro.rf.frontend import FrontendConfig
+from repro.scenario import Scenario
 
 #: Passband edges as ratios of 1e8 Hz, like the paper's x axis.
 EDGE_RATIOS = [0.03, 0.05, 0.06, 0.07, 0.08, 0.10, 0.12, 0.16, 0.25]
@@ -30,7 +30,7 @@ def _sweep():
         psdu_bytes=60,
         thermal_floor=True,
         frontend=FrontendConfig(),
-        interference=InterferenceScenario.adjacent(),
+        scenario=Scenario.preset("adjacent-16db"),
         input_level_dbm=LEVEL_DBM,
     )
     sweep = ParameterSweep(

@@ -10,11 +10,11 @@ non-adjacent curve further right by roughly the extra interferer power).
 
 import numpy as np
 
-from repro.channel.interference import InterferenceScenario
 from repro.core.reporting import render_ascii_plot, render_table
 from repro.core.sweep import ParameterSweep
 from repro.core.testbench import TestbenchConfig
 from repro.rf.frontend import FrontendConfig
+from repro.scenario import Scenario
 
 P1DB_VALUES = [-55.0, -50.0, -45.0, -40.0, -35.0, -30.0, -25.0, -20.0,
                -15.0, -10.0]
@@ -29,7 +29,7 @@ def _sweep(scenario, sample_rate_in):
         psdu_bytes=60,
         thermal_floor=True,
         frontend=FrontendConfig(sample_rate_in=sample_rate_in),
-        interference=scenario,
+        scenario=scenario,
         input_level_dbm=LEVEL_DBM,
     )
     return ParameterSweep(
@@ -43,10 +43,12 @@ def _sweep(scenario, sample_rate_in):
 
 def _all_sweeps():
     return {
-        "none": _sweep(InterferenceScenario.none(), 80e6),
-        "adjacent": _sweep(InterferenceScenario.adjacent(), 80e6),
+        "none": _sweep(None, 80e6),
+        "adjacent": _sweep(Scenario.preset("adjacent-16db"), 80e6),
         # The +/-40 MHz interferer needs a wider simulation band.
-        "non_adjacent": _sweep(InterferenceScenario.non_adjacent(), 120e6),
+        "non_adjacent": _sweep(
+            Scenario.preset("non-adjacent-32db"), 120e6
+        ),
     }
 
 

@@ -9,12 +9,12 @@ in the system-level simulation it can — both sweeps are reproduced here.
 
 import numpy as np
 
-from repro.channel.interference import InterferenceScenario
 from repro.core.reporting import render_table
 from repro.core.sweep import ParameterSweep
 from repro.core.testbench import TestbenchConfig
 from repro.rf.frontend import FrontendConfig
 from repro.rf.nonlinearity import p1db_from_iip3
+from repro.scenario import Scenario
 
 IIP3_VALUES = [-40.0, -35.0, -30.0, -25.0, -20.0, -15.0, -10.0]
 NF_VALUES = [3.0, 6.0, 9.0, 12.0, 15.0, 18.0]
@@ -28,7 +28,7 @@ def _ip3_sweep():
         psdu_bytes=60,
         thermal_floor=True,
         frontend=FrontendConfig(),
-        interference=InterferenceScenario.adjacent(),
+        scenario=Scenario.preset("adjacent-16db"),
         input_level_dbm=-60.0,
     )
     # The LNA is P1dB-parameterized; sweep via the cubic equivalence.

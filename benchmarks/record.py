@@ -53,14 +53,14 @@ def bench_quickstart(packets: int) -> dict:
 
 def bench_fig5_sweep(packets: int) -> dict:
     """Three-point slice of the figure-5 filter-bandwidth sweep."""
-    from repro.channel.interference import InterferenceScenario
+    from repro.scenario import Scenario
 
     cfg = TestbenchConfig(
         rate_mbps=36,
         psdu_bytes=60,
         thermal_floor=True,
         frontend=FrontendConfig(),
-        interference=InterferenceScenario.adjacent(),
+        scenario=Scenario.preset("adjacent-16db"),
         input_level_dbm=-60.0,
     )
     sweep = ParameterSweep(

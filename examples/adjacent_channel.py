@@ -10,12 +10,12 @@ Run:  python examples/adjacent_channel.py
 
 import numpy as np
 
-from repro.channel.interference import InterferenceScenario
 from repro.core.reporting import render_ascii_plot
 from repro.core.testbench import TestbenchConfig, WlanTestbench
 from repro.dsp.transmitter import Transmitter, TxConfig, random_psdu
 from repro.rf.frontend import FrontendConfig
 from repro.rf.signal import Signal
+from repro.scenario import Scenario
 from repro.spectrum.psd import (
     adjacent_channel_power_ratio_db,
     occupied_bandwidth_hz,
@@ -32,7 +32,7 @@ def show_spectrum():
     print(f"wanted channel: {wanted.power_dbm():.1f} dBm, occupied BW "
           f"{occupied_bandwidth_hz(wanted) / 1e6:.1f} MHz")
 
-    combined = InterferenceScenario.adjacent().apply(wanted, rng)
+    combined = Scenario.preset("adjacent-16db").apply(wanted, rng)
     psd = welch_psd(combined, nperseg=2048)
     print(
         render_ascii_plot(
@@ -52,19 +52,18 @@ def show_spectrum():
 
 def measure_robustness():
     print("\nBER through the double-conversion receiver at -60 dBm:")
-    for name, scenario in (
-        ("no interferer      ", InterferenceScenario.none()),
-        ("adjacent    (+16dB)", InterferenceScenario.adjacent()),
-        ("non-adjacent(+32dB)", InterferenceScenario.non_adjacent()),
+    for name, scenario, fs in (
+        ("no interferer      ", None, 80e6),
+        ("adjacent    (+16dB)", Scenario.preset("adjacent-16db"), 80e6),
+        ("non-adjacent(+32dB)", Scenario.preset("non-adjacent-32db"), 120e6),
     ):
-        fs = 120e6 if scenario.sources and scenario.sources[0].offset_channels == 2 else 80e6
         bench = WlanTestbench(
             TestbenchConfig(
                 rate_mbps=24,
                 psdu_bytes=60,
                 thermal_floor=True,
                 frontend=FrontendConfig(sample_rate_in=fs),
-                interference=scenario,
+                scenario=scenario,
                 input_level_dbm=-60.0,
             )
         )

@@ -7,11 +7,11 @@ adjacent channel present — the central experiments of the paper.
 Run:  python examples/rf_impairment_study.py
 """
 
-from repro.channel.interference import InterferenceScenario
 from repro.core.reporting import render_ascii_plot
 from repro.core.sweep import ParameterSweep, SimulationManager
 from repro.core.testbench import TestbenchConfig
 from repro.rf.frontend import FrontendConfig
+from repro.scenario import Scenario
 
 
 def main():
@@ -20,7 +20,7 @@ def main():
         psdu_bytes=60,
         thermal_floor=True,
         frontend=FrontendConfig(),
-        interference=InterferenceScenario.adjacent(),
+        scenario=Scenario.preset("adjacent-16db"),
         input_level_dbm=-60.0,
     )
 

@@ -6,8 +6,9 @@ The package provides:
 * :mod:`repro.dsp` — a complete IEEE 802.11a OFDM physical layer,
 * :mod:`repro.rf` — complex-baseband behavioral models of the analog RF
   front-end (the paper's double-conversion receiver),
-* :mod:`repro.channel` — AWGN/fading channels and adjacent-channel
-  interference,
+* :mod:`repro.channel` — AWGN/fading channels,
+* :mod:`repro.scenario` — declarative RF environments: IQ-mixed
+  emitters (the paper's adjacent channel among them) plus multipath,
 * :mod:`repro.spectrum` — spectral measurements (PSD, ACPR, mask),
 * :mod:`repro.flow` — the simulation-tool substrate (dataflow engine, RF
   characterization analyses, netlisting, co-simulation),

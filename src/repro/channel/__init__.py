@@ -1,14 +1,13 @@
-"""Propagation channel and interference models.
+"""Propagation channel models.
 
 The SPW demo system the paper uses transmits over "a channel model that can
-realize an additive white gaussian noise (AWGN) or a fading channel"; for
-the RF experiments an adjacent channel is added by duplicating the
-transmitter and shifting its OFDM signal by 20 MHz.
+realize an additive white gaussian noise (AWGN) or a fading channel".  The
+adjacent channel of the RF experiments (the transmitter duplicated and its
+OFDM signal shifted by 20 MHz) is an emitter of :mod:`repro.scenario`.
 """
 
 from repro.channel.awgn import AwgnChannel, ebn0_to_snr_db, snr_to_ebn0_db
 from repro.channel.fading import FadingChannel, exponential_power_delay_profile
-from repro.channel.interference import AdjacentChannelSource, InterferenceScenario
 
 __all__ = [
     "AwgnChannel",
@@ -16,6 +15,4 @@ __all__ = [
     "snr_to_ebn0_db",
     "FadingChannel",
     "exponential_power_delay_profile",
-    "AdjacentChannelSource",
-    "InterferenceScenario",
 ]

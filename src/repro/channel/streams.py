@@ -1,17 +1,17 @@
 """Emitter stream derivation: independent randomness per interferer.
 
-The original :meth:`InterferenceScenario.apply` drew every interferer's
-timing jitter, payloads and bursts straight from the *caller's* shared
-generator — so enabling an interferer advanced the wanted path's stream
-and shifted every subsequent noise/payload draw.  A BER measured with an
-adjacent channel was then not comparable draw-for-draw with one measured
-without it, and adding a second emitter perturbed the first.
+Drawing every interferer's timing jitter, payloads and bursts straight
+from the *caller's* shared generator would couple them to the wanted
+path: enabling an interferer would advance the wanted path's stream and
+shift every subsequent noise/payload draw, so a BER measured with an
+adjacent channel would not be comparable draw-for-draw with one measured
+without it, and adding a second emitter would perturb the first.
 
-:func:`fork_stream` fixes the coupling: each emitter draws from a child
-stream derived from a *snapshot* of the caller's generator state (never
-advancing it) plus the emitter's index under a reserved spawn-key
-branch.  The derivation is deterministic in (caller state, emitter
-index), so
+:func:`fork_stream` avoids the coupling: each emitter of a
+:class:`repro.scenario.Scenario` draws from a child stream derived from
+a *snapshot* of the caller's generator state (never advancing it) plus
+the emitter's index under a reserved spawn-key branch.  The derivation
+is deterministic in (caller state, emitter index), so
 
 * the wanted path makes bit-identical draws with zero, one, or ten
   emitters configured;

@@ -112,17 +112,17 @@ def _cmd_quickstart(args) -> int:
 
 
 def _cmd_fig5(args) -> int:
-    from repro.channel.interference import InterferenceScenario
     from repro.core.sweep import ParameterSweep
     from repro.core.testbench import TestbenchConfig
     from repro.rf.frontend import FrontendConfig
+    from repro.scenario import Scenario
 
     cfg = TestbenchConfig(
         rate_mbps=36,
         psdu_bytes=60,
         thermal_floor=True,
         frontend=FrontendConfig(),
-        interference=InterferenceScenario.adjacent(),
+        scenario=Scenario.preset("adjacent-16db"),
         input_level_dbm=-60.0,
     )
     sweep = ParameterSweep(
@@ -139,21 +139,21 @@ def _cmd_fig5(args) -> int:
 
 
 def _cmd_fig6(args) -> int:
-    from repro.channel.interference import InterferenceScenario
     from repro.core.sweep import ParameterSweep
     from repro.core.testbench import TestbenchConfig
     from repro.rf.frontend import FrontendConfig
+    from repro.scenario import Scenario
 
     for name, scenario in (
-        ("no interferer", InterferenceScenario.none()),
-        ("adjacent +16 dB", InterferenceScenario.adjacent()),
+        ("no interferer", None),
+        ("adjacent +16 dB", Scenario.preset("adjacent-16db")),
     ):
         cfg = TestbenchConfig(
             rate_mbps=36,
             psdu_bytes=60,
             thermal_floor=True,
             frontend=FrontendConfig(),
-            interference=scenario,
+            scenario=scenario,
             input_level_dbm=-60.0,
         )
         result = ParameterSweep(
@@ -597,7 +597,6 @@ def _cmd_netlist(args) -> int:
 
 def _cmd_probe(args) -> int:
     from repro import obs
-    from repro.channel.interference import InterferenceScenario
     from repro.core.reporting import render_table
     from repro.core.testbench import TestbenchConfig, WlanTestbench
     from repro.obs.probes import (
@@ -607,17 +606,16 @@ def _cmd_probe(args) -> int:
         waterfall_rows,
     )
     from repro.rf.frontend import FrontendConfig
+    from repro.scenario import Scenario
 
-    interference = (
-        InterferenceScenario.adjacent() if args.adjacent
-        else InterferenceScenario.none()
-    )
     cfg = TestbenchConfig(
         rate_mbps=args.rate,
         psdu_bytes=args.bytes,
         thermal_floor=True,
         frontend=FrontendConfig(),
-        interference=interference,
+        scenario=(
+            Scenario.preset("adjacent-16db") if args.adjacent else None
+        ),
         input_level_dbm=args.level,
     )
     bench = WlanTestbench(cfg)
@@ -842,8 +840,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="packets evaluated per stacked PHY-chain pass inside a "
-             "packet chunk (default 1, i.e. the per-packet chain); any "
-             "batch size is bit-identical — it only changes throughput",
+             "packet chunk (default 1); any batch size is "
+             "bit-identical — it only changes throughput",
     )
     parser.add_argument(
         "--memoize",
@@ -1064,8 +1062,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenarios",
         action="store_true",
         help="additionally run the multi-emitter scenario section: "
-             "emitter stream isolation, legacy-interference-path "
-             "equivalence, power-convention accuracy, and serial vs "
+             "emitter stream isolation, the frozen adjacent-16db "
+             "measurement, power-convention accuracy, and serial vs "
              "parallel schedule invariance",
     )
     p.set_defaults(func=_cmd_qa)

@@ -5,7 +5,8 @@ one declarative campaign a verification team would run before signing off
 an RF design: PHY loopback at every rate, transmit-mask compliance,
 sensitivity and adjacent-channel rejection, the figure-5 filter valley,
 the figure-6 linearity waterfall, the co-simulation noise-gap check,
-and the scenario-library/legacy-interference equivalence check.
+and the check that the ``adjacent-16db`` scenario reproduces the frozen
+adjacent-channel measurement.
 
 Each check is a named, independently runnable item; the campaign records
 status, wall-clock and details, and renders a sign-off report.  The
@@ -265,8 +266,8 @@ class VerificationCampaign:
 
     def check_filter_valley(self) -> CheckResult:
         """Figure-5 shape: the nominal filter decodes, a narrow one fails."""
-        from repro.channel.interference import InterferenceScenario
         from repro.core.testbench import TestbenchConfig, WlanTestbench
+        from repro.scenario import Scenario
 
         def ber(edge):
             cfg = TestbenchConfig(
@@ -274,7 +275,7 @@ class VerificationCampaign:
                 psdu_bytes=60,
                 thermal_floor=True,
                 frontend=replace(self.frontend, lpf_edge_hz=edge),
-                interference=InterferenceScenario.adjacent(),
+                scenario=Scenario.preset("adjacent-16db"),
                 input_level_dbm=-60.0,
             )
             return WlanTestbench(cfg).measure_ber(
@@ -294,8 +295,8 @@ class VerificationCampaign:
 
     def check_linearity_waterfall(self) -> CheckResult:
         """Figure-6 shape: the design's P1dB survives the +16 dB adjacent."""
-        from repro.channel.interference import InterferenceScenario
         from repro.core.testbench import TestbenchConfig, WlanTestbench
+        from repro.scenario import Scenario
 
         def ber(p1db):
             cfg = TestbenchConfig(
@@ -303,7 +304,7 @@ class VerificationCampaign:
                 psdu_bytes=60,
                 thermal_floor=True,
                 frontend=replace(self.frontend, lna_p1db_dbm=p1db),
-                interference=InterferenceScenario.adjacent(),
+                scenario=Scenario.preset("adjacent-16db"),
                 input_level_dbm=-60.0,
             )
             return WlanTestbench(cfg).measure_ber(
@@ -352,37 +353,25 @@ class VerificationCampaign:
         )
 
     def check_scenario_equivalence(self) -> CheckResult:
-        """The scenario library reproduces the legacy adjacent path exactly."""
-        from repro.channel.interference import InterferenceScenario
-        from repro.core.testbench import TestbenchConfig, WlanTestbench
-        from repro.scenario import Scenario
+        """The ``adjacent-16db`` scenario reproduces the frozen measurement.
 
-        def measure(**channel):
-            cfg = TestbenchConfig(
-                rate_mbps=36,
-                psdu_bytes=60,
-                thermal_floor=True,
-                frontend=self.frontend,
-                input_level_dbm=-60.0,
-                **channel,
-            )
-            return WlanTestbench(cfg).measure_ber(
-                n_packets=self._n, seed=self.seed
-            )
+        :data:`repro.qa.vectors.GOLDEN_ADJACENT_16DB` was frozen from the
+        paper's adjacent-channel path before it became a scenario preset.
+        """
+        from repro.qa import vectors
 
+        case = vectors.ADJACENT_16DB_CASE
         with obs.timed("check:scenario_equivalence") as timer:
-            legacy = measure(interference=InterferenceScenario.adjacent())
-            scenario = measure(scenario=Scenario.preset("adjacent-16db"))
-        ok = (
-            legacy.bit_errors == scenario.bit_errors
-            and legacy.bits_total == scenario.bits_total
-        )
+            measured = vectors.adjacent_16db_bench().measure_ber(
+                n_packets=case["n_packets"], seed=case["seed"]
+            )
+        got = (measured.bit_errors, measured.bits_total)
+        golden = vectors.GOLDEN_ADJACENT_16DB
         return CheckResult(
             "scenario library equivalence",
-            ok,
-            f"adjacent +16 dB: legacy {legacy.bit_errors:g}/"
-            f"{legacy.bits_total:g} vs scenario {scenario.bit_errors:g}/"
-            f"{scenario.bits_total:g} bit errors",
+            got == golden,
+            f"adjacent +16 dB: frozen {golden[0]:g}/{golden[1]:g} vs "
+            f"scenario {got[0]:g}/{got[1]:g} bit errors",
             timer.elapsed,
         )
 

@@ -23,9 +23,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.channel.interference import InterferenceScenario
 from repro.core.testbench import TestbenchConfig, WlanTestbench
 from repro.rf.frontend import FrontendConfig
+from repro.scenario import Scenario, WlanEmitter
 
 #: Minimum sensitivity levels required by IEEE 802.11a table 91 [dBm].
 STANDARD_SENSITIVITY_DBM: Dict[int, float] = {
@@ -198,15 +198,15 @@ def measure_adjacent_rejection(
     excess = 0.0
     passing = -np.inf
     while excess <= max_excess_db:
-        scenario = InterferenceScenario(
-            sources=[_source(offset_channels, excess)]
-        )
+        scenario = Scenario(emitters=[
+            WlanEmitter(offset_channels=offset_channels, excess_db=excess)
+        ])
         cfg = TestbenchConfig(
             rate_mbps=rate_mbps,
             psdu_bytes=psdu_bytes,
             thermal_floor=True,
             frontend=fe,
-            interference=scenario,
+            scenario=scenario,
             input_level_dbm=wanted_dbm,
         )
         per = measure_per(cfg, n_packets, seed)
@@ -225,12 +225,4 @@ def measure_adjacent_rejection(
         offset_channels=offset_channels,
         rejection_db=passing,
         standard_requirement_db=requirement,
-    )
-
-
-def _source(offset_channels: int, excess_db: float):
-    from repro.channel.interference import AdjacentChannelSource
-
-    return AdjacentChannelSource(
-        offset_channels=offset_channels, excess_db=excess_db
     )

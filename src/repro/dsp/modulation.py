@@ -108,40 +108,28 @@ class Demapper:
         return self._bit_matrix[nearest].reshape(-1).astype(np.uint8)
 
     def demap_soft(self, symbols: np.ndarray, noise_var: float = 1.0) -> np.ndarray:
-        """Max-log LLRs per coded bit.
-
-        Args:
-            symbols: received (equalized) constellation symbols.
-            noise_var: effective noise variance used to scale the LLRs.  Any
-                uniform positive scale yields identical Viterbi decisions.
+        """Max-log LLRs per coded bit of one symbol vector (a row of one).
 
         Returns:
             LLR array of length ``len(symbols) * n_bpsc``.
         """
-        symbols = np.asarray(symbols, dtype=complex).ravel()
-        dist = np.abs(symbols[:, None] - self._points[None, :]) ** 2
-        llrs = np.empty((symbols.size, self.n_bpsc))
-        for b in range(self.n_bpsc):
-            mask1 = self._bit_matrix[:, b].astype(bool)
-            d0 = dist[:, ~mask1].min(axis=1)
-            d1 = dist[:, mask1].min(axis=1)
-            llrs[:, b] = (d1 - d0) / max(noise_var, 1e-30)
-        return llrs.reshape(-1)
+        rows = np.reshape(symbols, (1, -1))
+        return self.demap_soft_rows(rows, [noise_var])[0]
 
     def demap_soft_rows(
         self, symbol_rows: np.ndarray, noise_vars: np.ndarray
     ) -> np.ndarray:
-        """Batched max-log demapping with a per-row noise variance.
+        """Max-log LLRs per coded bit with a per-row noise variance.
 
         Args:
-            symbol_rows: ``(n_rows, n_symbols)`` received constellation
-                symbols — one packet per row.
+            symbol_rows: ``(n_rows, n_symbols)`` received (equalized)
+                constellation symbols — one packet per row.
             noise_vars: per-row effective noise variance, shape
-                ``(n_rows,)``.
+                ``(n_rows,)``, used to scale the LLRs.  Any uniform
+                positive scale yields identical Viterbi decisions.
 
         Returns:
-            ``(n_rows, n_symbols * n_bpsc)`` LLRs; row ``k`` equals
-            ``demap_soft(symbol_rows[k], noise_vars[k])`` exactly.
+            ``(n_rows, n_symbols * n_bpsc)`` LLRs.
         """
         symbol_rows = np.asarray(symbol_rows, dtype=complex)
         if symbol_rows.ndim != 2:

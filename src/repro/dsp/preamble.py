@@ -133,7 +133,7 @@ def encode_signal_field(rate: RateParameters, length_bytes: int) -> np.ndarray:
 
 
 def _parse_signal_bits(bits: np.ndarray) -> Optional[SignalFieldContent]:
-    """Interpret 24 decoded SIGNAL bits (shared scalar/batched parser)."""
+    """Interpret 24 decoded SIGNAL bits."""
     rate_bits = tuple(int(b) for b in bits[0:4])
     mbps = RATE_BITS_TO_MBPS.get(rate_bits)
     if mbps is None:
@@ -148,7 +148,7 @@ def _parse_signal_bits(bits: np.ndarray) -> Optional[SignalFieldContent]:
 def decode_signal_field(
     data_subcarriers: np.ndarray, noise_var: float = 1.0
 ) -> Optional[SignalFieldContent]:
-    """Decode a received (equalized) SIGNAL symbol.
+    """Decode one received (equalized) SIGNAL symbol (a batch of one).
 
     Args:
         data_subcarriers: the 48 equalized data subcarrier values of the
@@ -159,13 +159,8 @@ def decode_signal_field(
         The decoded :class:`SignalFieldContent`, or None if the RATE field
         is invalid (reception failure).
     """
-    llr = Demapper("BPSK").demap_soft(data_subcarriers, noise_var)
-    peak = float(np.max(np.abs(llr))) if llr.size else 0.0
-    if peak > 0:
-        llr = llr * (20.0 / peak)
-    llr = deinterleave(llr, n_cbps=48, n_bpsc=1)
-    bits = ViterbiDecoder(terminated=True).decode_soft(llr)
-    return _parse_signal_bits(bits)
+    rows = np.reshape(data_subcarriers, (1, -1))
+    return decode_signal_fields(rows, [noise_var])[0]
 
 
 def decode_signal_fields(
@@ -179,8 +174,8 @@ def decode_signal_fields(
         noise_vars: per-packet noise variance, shape ``(n_packets,)``.
 
     Returns:
-        One :func:`decode_signal_field`-identical result per row (a
-        :class:`SignalFieldContent` or None).
+        One result per row: the decoded :class:`SignalFieldContent`, or
+        None where the RATE field is invalid (reception failure).
     """
     rows = np.asarray(data_subcarrier_rows, dtype=complex)
     noise_vars = np.asarray(noise_vars, dtype=float)

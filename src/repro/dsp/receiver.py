@@ -42,7 +42,10 @@ from repro.dsp.params import (
     SAMPLE_RATE,
     symbols_for_psdu,
 )
-from repro.dsp.preamble import (
+# ``decode_signal_field`` is not called here but stays importable from
+# this module: the benchmark's per-layer wrappers (perfbench/layers.py)
+# patch the SIGNAL decode under this name.
+from repro.dsp.preamble import (  # noqa: F401
     PREAMBLE_LENGTH,
     STF_LENGTH,
     decode_signal_field,
@@ -141,7 +144,7 @@ class Receiver:
         self._viterbi = ViterbiDecoder(terminated=False)
 
     def _sync_and_estimate(self, samples: np.ndarray):
-        """Per-packet front half of :meth:`receive`.
+        """Per-packet front half of :meth:`receive_batch`.
 
         Runs timing synchronization, CFO correction and channel/noise
         estimation — the stages that are inherently sequential per packet.
@@ -194,147 +197,11 @@ class Receiver:
         return None, (start, work, h_est, noise_var, cfo_total)
 
     def receive(self, samples: np.ndarray) -> RxResult:
-        """Decode one PPDU from a received sample stream.
+        """Decode one PPDU from a received sample stream (a batch of one).
 
-        Args:
-            samples: complex baseband samples at 20 MHz containing (at
-                least) one complete PPDU.
-
-        Returns:
-            An :class:`RxResult`; ``result.success`` is False with a
-            ``failure`` reason if any stage fails.
+        See :meth:`receive_batch`.
         """
-        cfg = self.config
-        samples = np.asarray(samples, dtype=complex)
-
-        failure, state = self._sync_and_estimate(samples)
-        if failure is not None:
-            return failure
-        start, work, h_est, noise_var, cfo_total = state
-
-        def _equalize(rows_in):
-            if cfg.equalizer == "mmse":
-                return equalize_mmse(rows_in, h_est, noise_var)
-            return equalize(rows_in, h_est)
-
-        # --- SIGNAL field ----------------------------------------------
-        if cfg.genie_rate_mbps is not None:
-            rate = RATES[cfg.genie_rate_mbps]
-            if cfg.genie_length_bytes is None:
-                return RxResult(
-                    False, failure="genie rate requires genie length"
-                )
-            length = cfg.genie_length_bytes
-            parity_ok = True
-        else:
-            sig_row = self._ofdm.demodulate(
-                work[PREAMBLE_LENGTH : PREAMBLE_LENGTH + N_SYMBOL]
-            )
-            sig_eq = pilot_phase_correction(
-                _equalize(sig_row), first_symbol_index=-1
-            )
-            sig_data = self._ofdm.extract_data(sig_eq)[0]
-            content = decode_signal_field(sig_data, noise_var)
-            if content is None:
-                return RxResult(
-                    False,
-                    packet_start=start,
-                    cfo_hz=cfo_total,
-                    failure="invalid SIGNAL rate field",
-                )
-            if not content.parity_ok:
-                return RxResult(
-                    False,
-                    packet_start=start,
-                    cfo_hz=cfo_total,
-                    rate=content.rate,
-                    length_bytes=content.length_bytes,
-                    failure="SIGNAL parity error",
-                )
-            rate = content.rate
-            length = content.length_bytes
-            parity_ok = content.parity_ok
-        if length < 1:
-            return RxResult(False, failure="zero-length PSDU")
-
-        # --- DATA field --------------------------------------------------
-        n_sym = symbols_for_psdu(length, rate)
-        data_start = PREAMBLE_LENGTH + N_SYMBOL
-        data_end = data_start + n_sym * N_SYMBOL
-        if work.size < data_end:
-            return RxResult(
-                False,
-                packet_start=start,
-                rate=rate,
-                length_bytes=length,
-                failure="DATA field truncated",
-            )
-        rows = self._ofdm.demodulate(work[data_start:data_end])
-        rows = pilot_phase_correction(
-            _equalize(rows), first_symbol_index=0
-        )
-        data_points = self._ofdm.extract_data(rows)
-
-        csi = None
-        if cfg.csi_weighting:
-            csi = np.abs(self._ofdm.extract_data(
-                np.tile(h_est, (1, 1))
-            )[0]) ** 2
-        psdu = self._decode_data(
-            data_points, rate, length, noise_var, csi
-        )
-        return RxResult(
-            True,
-            psdu=psdu,
-            rate=rate,
-            length_bytes=length,
-            signal_parity_ok=parity_ok,
-            packet_start=start,
-            cfo_hz=cfo_total,
-            noise_var=noise_var,
-            data_symbols=data_points,
-        )
-
-    def _decode_data(
-        self,
-        data_points: np.ndarray,
-        rate: RateParameters,
-        length: int,
-        noise_var: float,
-        csi: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Demap, decode and descramble the DATA constellation points."""
-        cfg = self.config
-        demapper = Demapper(rate.modulation)
-        if cfg.soft_decision:
-            llr = demapper.demap_soft(data_points.reshape(-1), noise_var)
-            if csi is not None:
-                # Per-subcarrier CSI weighting: each symbol's bits carry
-                # confidence proportional to its channel power.
-                n_sym = data_points.shape[0]
-                weights = np.repeat(np.tile(csi, n_sym), rate.n_bpsc)
-                llr = llr * weights
-        else:
-            hard = demapper.demap_hard(data_points.reshape(-1))
-            llr = 1.0 - 2.0 * hard.astype(float)
-        # Bound the LLR magnitude: Viterbi decisions are scale-invariant,
-        # but unbounded LLRs (noise_var -> 0) lose precision in the path
-        # metric accumulation.
-        peak = float(np.max(np.abs(llr))) if llr.size else 0.0
-        if peak > 0:
-            llr = llr * (20.0 / peak)
-        llr = deinterleave(llr, rate.n_cbps, rate.n_bpsc)
-        llr = depuncture(llr, rate.coding_rate)
-        decoded = self._viterbi.decode_soft(llr)
-        descrambled = Scrambler(cfg.scrambler_seed).process(decoded)
-        psdu_bits = descrambled[
-            N_SERVICE_BITS : N_SERVICE_BITS + 8 * length
-        ]
-        return np.packbits(psdu_bits, bitorder="little")
-
-    # ------------------------------------------------------------------
-    # Batched reception
-    # ------------------------------------------------------------------
+        return self.receive_batch(np.reshape(samples, (1, -1)))[0]
 
     def _equalize_rows(
         self, rows: np.ndarray, h_stack: np.ndarray, noise: np.ndarray
@@ -352,20 +219,33 @@ class Receiver:
         equalization, pilot tracking, SIGNAL decoding and the whole DATA
         decode chain (demap, deinterleave, depuncture, Viterbi, descramble)
         run as single stacked array operations over all packets that share
-        a (rate, length) combination.
+        a (rate, length) combination.  A packet's result does not depend
+        on the other rows of its batch.
 
         Args:
-            sample_rows: ``(n_packets, n_samples)`` received baseband
-                sample streams, one packet per row.
+            sample_rows: ``(n_packets, n_samples)`` complex baseband
+                sample streams at 20 MHz, one packet per row, each
+                containing (at least) one complete PPDU.
 
         Returns:
-            List of :class:`RxResult`, one per row; entry ``k`` is
-            bit-identical to ``receive(sample_rows[k])``.
+            List of :class:`RxResult`, one per row; ``success`` is False
+            with a ``failure`` reason where a stage fails.
+
+        Raises:
+            ValueError: if any sample is NaN or infinite.  Such input
+                would otherwise surface as an ordinary-looking packet loss
+                or even a successful decode; the message names the rows.
         """
         cfg = self.config
         sample_rows = np.asarray(sample_rows, dtype=complex)
         if sample_rows.ndim != 2:
             raise ValueError("expected (n_packets, n_samples) input")
+        bad_rows = np.flatnonzero(~np.isfinite(sample_rows).all(axis=1))
+        if bad_rows.size:
+            raise ValueError(
+                f"non-finite receive samples (NaN or inf) in rows "
+                f"{bad_rows.tolist()} of {sample_rows.shape[0]}"
+            )
         n_packets = sample_rows.shape[0]
         results: list = [None] * n_packets
         states: list = [None] * n_packets
@@ -497,11 +377,9 @@ class Receiver:
         noise_vars: np.ndarray,
         csi_rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Batched :meth:`_decode_data` over ``(n_packets, n_sym, 48)``.
+        """Demap, decode and descramble ``(n_packets, n_sym, 48)`` points.
 
-        Row ``k`` of the returned ``(n_packets, length)`` byte array equals
-        ``_decode_data(data_points[k], rate, length, noise_vars[k],
-        csi_rows[k])`` exactly.
+        Returns the ``(n_packets, length)`` decoded PSDU bytes.
         """
         cfg = self.config
         demapper = Demapper(rate.modulation)
@@ -511,6 +389,8 @@ class Receiver:
                 data_points.reshape(n_packets, -1), noise_vars
             )
             if csi_rows is not None:
+                # Per-subcarrier CSI weighting: each symbol's bits carry
+                # confidence proportional to its channel power.
                 weights = np.repeat(
                     np.tile(csi_rows, (1, n_sym)), rate.n_bpsc, axis=1
                 )
@@ -518,6 +398,9 @@ class Receiver:
         else:
             hard = demapper.demap_hard(data_points.reshape(-1))
             llr = 1.0 - 2.0 * hard.astype(float).reshape(n_packets, -1)
+        # Bound the LLR magnitude: Viterbi decisions are scale-invariant,
+        # but unbounded LLRs (noise_var -> 0) lose precision in the path
+        # metric accumulation.
         peak = np.max(np.abs(llr), axis=1)
         safe = np.where(peak > 0, peak, 1.0)
         scale = np.where(peak > 0, 20.0 / safe, 1.0)

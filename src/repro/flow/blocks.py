@@ -18,13 +18,13 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.channel.awgn import AwgnChannel
-from repro.channel.interference import AdjacentChannelSource
 from repro.dsp.params import SAMPLE_RATE
 from repro.dsp.receiver import Receiver, RxConfig
 from repro.dsp.transmitter import Transmitter, TxConfig, random_psdu
 from repro.flow.dataflow import Block, SimulationContext
 from repro.rf.frontend import DoubleConversionReceiver, FrontendConfig
 from repro.rf.signal import Signal, db_to_amplitude, dbm_to_watts
+from repro.scenario import WlanEmitter, active_power_watts
 
 
 class TransmitterBlock(Block):
@@ -111,9 +111,8 @@ class AdderBlock(Block):
 class AdjacentChannelBlock(Block):
     """Adds an interfering 802.11a channel to the stream.
 
-    Parameters mirror :class:`repro.channel.interference
-    .AdjacentChannelSource`; set ``enabled`` False for the interferer-free
-    reference runs of figure 6.
+    Parameters mirror :class:`repro.scenario.WlanEmitter`; set
+    ``enabled`` False for the interferer-free reference runs of figure 6.
     """
 
     inputs = ("in",)
@@ -136,14 +135,13 @@ class AdjacentChannelBlock(Block):
         x = inputs["in"]
         if not self.enabled or x.size == 0:
             return {"out": x}
-        source = AdjacentChannelSource(
+        source = WlanEmitter(
             offset_channels=self.offset_channels,
             excess_db=self.excess_db,
         )
-        nonzero = x[x != 0]
-        power = float(np.mean(np.abs(nonzero) ** 2)) if nonzero.size else 0.0
         interferer = source.generate(
-            x.size, SAMPLE_RATE * self.oversample, power, ctx.rng
+            x.size, SAMPLE_RATE * self.oversample, active_power_watts(x),
+            ctx.rng,
         )
         return {"out": x + interferer.samples[: x.size]}
 

@@ -33,13 +33,13 @@ from scipy.signal import cheby1, butter
 
 from repro import obs
 from repro.channel.awgn import AwgnChannel
-from repro.channel.interference import InterferenceScenario
 from repro.dsp.receiver import Receiver, RxConfig
 from repro.dsp.transmitter import Transmitter, TxConfig, random_psdu
 from repro.flow.netlist import NetlistCompiler, frontend_to_netlist
 from repro.rf.frontend import DoubleConversionReceiver, FrontendConfig
 from repro.rf.noise import thermal_noise_power, white_noise
 from repro.rf.signal import Signal, dbm_to_watts
+from repro.scenario import Scenario
 
 
 class CoSimAbort(RuntimeError):
@@ -417,7 +417,7 @@ class CoSimulation:
             self.frontend_config.carrier_frequency,
         ).scaled_to_dbm(cfg.input_level_dbm)
         if cfg.adjacent_channel:
-            sig = InterferenceScenario.adjacent().apply(sig, rng)
+            sig = Scenario.preset("adjacent-16db").apply(sig, rng)
         sig = AwgnChannel(include_thermal_floor=True).process(sig, rng)
         if (
             not cfg.noise_support

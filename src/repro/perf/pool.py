@@ -123,8 +123,8 @@ def set_default_batch_size(batch_size: Optional[int]) -> int:
     """Install the ambient PHY batch size (the CLI's ``--batch-size``).
 
     Args:
-        batch_size: packets per stacked PHY-chain evaluation; None or 1
-            selects the per-packet path.
+        batch_size: packets per stacked PHY-chain evaluation; None
+            means 1 (each packet its own batch).
 
     Returns:
         The previous default.

@@ -424,22 +424,12 @@ def packet_noise_dimension(config) -> int:
     guard padding, times the oversampling factor the bench will pick —
     the dimensionality that bounds a per-packet importance weight.
     """
+    from repro.core.testbench import bench_oversample
     from repro.dsp.params import RATES
 
     rate = RATES[config.rate_mbps]
     n_sym = int(np.ceil((16 + 6 + 8 * config.psdu_bytes) / rate.n_dbps))
-    oversample = 1
-    scenario = getattr(config, "scenario", None)
-    if config.frontend is not None:
-        oversample = config.frontend.decimation
-    else:
-        if config.interference.sources:
-            max_offset = max(
-                abs(s.offset_channels) for s in config.interference.sources
-            )
-            oversample = 2 * (max_offset + 1)
-        if scenario is not None:
-            oversample = max(oversample, scenario.required_oversample())
+    oversample = bench_oversample(config)
     samples = 2 * config.guard_samples + 320 + 80 * (1 + n_sym)
     return int(samples * oversample)
 
@@ -449,15 +439,12 @@ def is_incompatibility(config) -> Optional[str]:
 
     The scaled-variance proposal reweights only the AWGN draw, so the
     weighted estimator is unbiased only when AWGN dominates the error
-    mechanism.  A fading channel or any structured emitter (legacy
-    interference sources or scenario emitters) injects randomness the
-    weights do not model — the estimate would be silently biased.
+    mechanism.  A fading channel or any scenario emitter injects
+    randomness the weights do not model — the estimate would be silently
+    biased.
     """
     if getattr(config, "fading", None) is not None:
         return "a fading channel is configured"
-    interference = getattr(config, "interference", None)
-    if interference is not None and interference.sources:
-        return "interference sources are configured"
     scenario = getattr(config, "scenario", None)
     if scenario is not None:
         if scenario.emitters:

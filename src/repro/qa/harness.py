@@ -661,26 +661,25 @@ def run_scenario_checks(
 ) -> List[QaCheck]:
     """Correctness of the multi-emitter scenario library.
 
-    The scenario path earns its keep only if it is *provably* the same
-    physics as the legacy interference path and just as deterministic:
+    The scenario path earns its keep only if it is *provably* the
+    paper's adjacent-channel physics and deterministic:
 
     * mixing emitters must not perturb the wanted path's random streams
       (the per-emitter streams are forked, never drawn from the caller);
-    * the ``adjacent-16db`` preset must reproduce the legacy
-      ``InterferenceScenario.adjacent()`` measurement bit-for-bit;
+    * the ``adjacent-16db`` preset must reproduce the frozen
+      adjacent-channel measurement bit-for-bit
+      (:data:`repro.qa.vectors.GOLDEN_ADJACENT_16DB`, recorded from the
+      paper's interference path before it became a preset);
     * every emitter's burst-active power must honour its configured
       excess over the wanted reference;
     * a scenario sweep must be schedule-invariant (serial == jobs=2).
     """
     import numpy as np
 
-    from repro.channel.interference import (
-        InterferenceScenario,
-        active_power_watts,
-    )
     from repro.core.sweep import ParameterSweep
-    from repro.core.testbench import TestbenchConfig, WlanTestbench
-    from repro.scenario import Scenario
+    from repro.core.testbench import TestbenchConfig
+    from repro.qa import vectors
+    from repro.scenario import Scenario, active_power_watts
 
     checks: List[QaCheck] = []
 
@@ -706,24 +705,20 @@ def run_scenario_checks(
         "three-emitter scenario applied; caller RNG state unchanged",
     )
 
-    # 2. Legacy equivalence at baseband: same bits, same errors.
-    def measure(**channel):
-        cfg = TestbenchConfig(rate_mbps=36, psdu_bytes=60, snr_db=14.0,
-                              **channel)
-        return WlanTestbench(cfg).measure_ber(
-            n_packets=4, seed=seed, jobs=jobs
-        )
-
-    legacy = measure(interference=InterferenceScenario.adjacent())
-    mixed = measure(scenario=Scenario.preset("adjacent-16db"))
+    # 2. Legacy equivalence at baseband: same bits, same errors as the
+    # frozen measurement (at its own fixed seed).
+    case = vectors.ADJACENT_16DB_CASE
+    mixed = vectors.adjacent_16db_bench().measure_ber(
+        n_packets=case["n_packets"], seed=case["seed"], jobs=jobs
+    )
+    golden_errors, golden_bits = vectors.GOLDEN_ADJACENT_16DB
     add(
         "legacy_equivalence",
-        legacy.bit_errors == mixed.bit_errors
-        and legacy.bits_total == mixed.bits_total,
-        "adjacent +16 dB via scenario library matches the legacy "
-        "interference path bit-for-bit",
+        (mixed.bit_errors, mixed.bits_total) == (golden_errors, golden_bits),
+        "adjacent +16 dB via scenario library matches the frozen "
+        "legacy interference measurement bit-for-bit",
         measured=mixed.ber,
-        expected=legacy.ber,
+        expected=golden_errors / golden_bits,
     )
 
     # 3. Power convention: each preset emitter's burst-active power must
@@ -796,8 +791,8 @@ def run_qa(
             (importance-sampling unbiasedness vs MC and closed-form
             oracles, variance-reduction gate, adaptive allocation).
         scenarios: additionally run the multi-emitter scenario section
-            (stream isolation, legacy-path equivalence, power
-            convention, schedule invariance).
+            (stream isolation, the frozen adjacent-16db measurement,
+            power convention, schedule invariance).
 
     Returns:
         The aggregated :class:`QaReport`.

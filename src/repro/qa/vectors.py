@@ -2,8 +2,8 @@
 
 The corpus pins one fully worked 802.11a encoding example — in the
 spirit of Annex G of IEEE Std 802.11a-1999 — plus per-rate digests of a
-shared fixed-payload frame for all eight data rates.  Every literal in
-this module was generated by the *independent* reference implementation
+shared fixed-payload frame for all eight data rates.  Every literal of
+the corpus was generated by the *independent* reference implementation
 in :mod:`repro.qa.reference` (scalar, table-driven, sharing no code with
 :mod:`repro.dsp`) and then frozen; the conformance harness checks the
 production TX pipeline against these constants stage by stage, so the
@@ -14,6 +14,10 @@ Reference scenario (the worked example):
 * data rate 36 Mbit/s (16-QAM, rate 3/4) — the Annex G choice;
 * 100-byte PSDU with byte ``i`` equal to ``(7 i + 3) mod 256``;
 * scrambler seed ``1011101`` — the Annex G initial state.
+
+A second section holds regression digests of the production chain
+itself (whole test-bench packets, the receiver's failure paths, the
+adjacent-channel measurement); see "Chain regression digests" below.
 
 Regeneration (only needed if the *standard interpretation* changes):
 run each ``repro.qa.reference`` stage on the scenario above and refresh
@@ -268,3 +272,199 @@ def digest_samples(samples, decimals: int = 9) -> str:
 def fixed_psdu() -> np.ndarray:
     """The shared 64-byte payload of the per-rate golden digests."""
     return np.arange(64, dtype=np.uint8)
+
+
+# --------------------------------------------------------------------------
+# Chain regression digests
+# --------------------------------------------------------------------------
+# Unlike the corpus above, these pin outputs of the production chain
+# itself: whole packets through the test bench, the receiver's failure
+# paths and the adjacent-channel measurement.  They were frozen from the
+# per-packet chain while it still had its own scalar bodies beside the
+# batched ones, so they are the oracle that the single batched path
+# reproduces it.  Integer outcomes, bytes and constellation points are
+# hashed exactly; equalized receive symbols go through
+# :func:`digest_samples`, whose rounding keeps the digests portable
+# across floating-point libraries.
+
+#: ``case -> (rate_mbps, snr_db, seed, n_packets)`` of the packet digests:
+#: every rate on its waterfall (clean, errored and lost packets), plus a
+#: 54 Mbit/s case so deep in noise that no packet is detected.
+PACKET_CASES = {
+    **{f"{mbps}mbps": (mbps, snr_db, 1234, 6) for mbps, snr_db in (
+        (6, 2.0), (9, 3.0), (12, 3.0), (18, 5.0),
+        (24, 6.0), (36, 9.0), (48, 12.0), (54, 14.0),
+    )},
+    "54mbps-low-snr": (54, -2.0, 77, 8),
+}
+
+#: PSDU length of every :data:`PACKET_CASES` packet.
+PACKET_PSDU_BYTES = 40
+
+#: :func:`packet_outcome_digest` of each :data:`PACKET_CASES` case.
+GOLDEN_PACKET_DIGESTS = {
+    "6mbps": "fef6ed8c2e152551",
+    "9mbps": "7b0660aacdeac4d5",
+    "12mbps": "c89723b7e680ea9d",
+    "18mbps": "b7cacb4533530321",
+    "24mbps": "b5b37705f2df8286",
+    "36mbps": "0a65cc44ad6cf666",
+    "48mbps": "916885f7fce26f6c",
+    "54mbps": "f8a788cbd3ddd1fa",
+    "54mbps-low-snr": "b40ca9c9ea797ae1",
+}
+
+#: Expected ``(packet_start, rate_mbps, length_bytes)`` of the receive
+#: result for each crafted input of :func:`rx_failure_inputs`, keyed by
+#: the ``RxResult.failure`` reason it reaches.
+GOLDEN_RX_FAILURES = {
+    "packet not detected": (None, None, 0),
+    "timing search failed": (None, None, 0),
+    "packet truncated": (None, None, 0),
+    "invalid SIGNAL rate field": (100, None, 0),
+    "SIGNAL parity error": (100, 24, 40),
+    "zero-length PSDU": (None, None, 0),
+    "DATA field truncated": (100, 24, 40),
+    "genie rate requires genie length": (None, None, 0),
+}
+
+#: The ``adjacent-16db`` measurement: bench settings, then the frozen
+#: ``(bit_errors, bits_total)``.
+ADJACENT_16DB_CASE = {
+    "rate_mbps": 36, "psdu_bytes": 60, "snr_db": 14.0,
+    "n_packets": 4, "seed": 1,
+}
+GOLDEN_ADJACENT_16DB = (951.0, 1920)
+
+#: :func:`digest_samples` of the OFDM-modulated reference DATA field
+#: (:func:`reference_psdu` at :data:`REFERENCE_RATE_MBPS`), in symbol
+#: order and with its symbols reversed.
+GOLDEN_MODULATE_DIGESTS = ("2c6c0e8c73a62b4b", "188f2b98aae421f1")
+
+#: :func:`digest_samples` of a +16 dB first-adjacent 802.11a emitter:
+#: 2048 samples at 80 MHz, 1 W reference, ``default_rng(0)``.
+GOLDEN_WLAN_EMITTER = "491e28847a73f8d0"
+
+
+def packet_outcome_digest(outcomes) -> str:
+    """Digest of test-bench packet outcomes, in order.
+
+    Covers each packet's bit errors, lost flag, failure reason, decoded
+    PSDU, transmitted DATA symbols (exact) and equalized received
+    symbols (rounded, :func:`digest_samples`).
+    """
+    h = hashlib.sha256()
+    for outcome in outcomes:
+        rx = outcome.rx_result
+        h.update(repr(
+            (float(outcome.bit_errors), bool(outcome.lost), rx.failure)
+        ).encode())
+        h.update(np.asarray(rx.psdu, dtype=np.uint8).tobytes())
+        h.update(np.asarray(outcome.tx_symbols, dtype=complex).tobytes())
+        if rx.data_symbols is not None:
+            h.update(digest_samples(rx.data_symbols).encode())
+    return h.hexdigest()[:16]
+
+
+def packet_case(name: str):
+    """``(bench, rngs)`` of one :data:`PACKET_CASES` entry.
+
+    Packet ``j`` draws from child ``j`` of the case seed, exactly as a
+    BER measurement does.
+    """
+    from repro import perf
+    from repro.core.testbench import TestbenchConfig, WlanTestbench
+
+    rate_mbps, snr_db, seed, n_packets = PACKET_CASES[name]
+    bench = WlanTestbench(TestbenchConfig(
+        rate_mbps=rate_mbps, snr_db=snr_db, psdu_bytes=PACKET_PSDU_BYTES
+    ))
+    rngs = [np.random.default_rng(c) for c in perf.spawn(seed, n_packets)]
+    return bench, rngs
+
+
+def _signal_symbol(bits: np.ndarray) -> np.ndarray:
+    """One SIGNAL OFDM symbol carrying arbitrary (even invalid) bits."""
+    from repro.dsp.convcode import ConvolutionalEncoder
+    from repro.dsp.interleaver import interleave
+    from repro.dsp.modulation import Mapper
+    from repro.dsp.ofdm import OfdmModulator
+
+    coded = ConvolutionalEncoder().encode(bits)
+    points = Mapper("BPSK").map(interleave(coded, n_cbps=48, n_bpsc=1))
+    return OfdmModulator().modulate_symbol(points, 0, pilot_polarity=1.0)
+
+
+def rx_failure_inputs() -> Dict[str, tuple]:
+    """One noise-free receive input per reachable failure reason.
+
+    Returns ``failure -> (RxConfig, samples)``: feeding ``samples`` to a
+    :class:`~repro.dsp.receiver.Receiver` with that config fails with
+    exactly that ``RxResult.failure`` string.
+    """
+    from repro.dsp.params import RATES
+    from repro.dsp.preamble import preamble, short_training_field
+    from repro.dsp.preamble import signal_field_bits
+    from repro.dsp.receiver import RxConfig
+    from repro.dsp.transmitter import Transmitter, TxConfig
+
+    rate = RATES[24]
+    psdu = fixed_psdu()[:40]
+    ppdu = Transmitter(TxConfig(rate_mbps=24)).transmit(psdu)
+    data = ppdu[400:]
+
+    def padded(*parts, lead=100, trail=100):
+        return np.concatenate(
+            [np.zeros(lead, complex), *parts, np.zeros(trail, complex)]
+        )
+
+    def with_signal(edit):
+        bits = signal_field_bits(rate, psdu.size)
+        edit(bits)
+        return padded(preamble(), _signal_symbol(bits), data)
+
+    def bad_rate(bits):
+        bits[0:4] = 0
+
+    def bad_parity(bits):
+        bits[17] ^= 1
+
+    def zero_length(bits):
+        bits[5:17] = 0
+        bits[17] = bits[0:17].sum() % 2
+
+    practical = RxConfig()
+    return {
+        "packet not detected": (practical, np.zeros(800, complex)),
+        "timing search failed": (practical, short_training_field()),
+        "packet truncated": (practical, padded(preamble(), trail=20)),
+        "invalid SIGNAL rate field": (practical, with_signal(bad_rate)),
+        "SIGNAL parity error": (practical, with_signal(bad_parity)),
+        "zero-length PSDU": (practical, with_signal(zero_length)),
+        "DATA field truncated": (
+            practical, padded(ppdu[:560], trail=0)
+        ),
+        "genie rate requires genie length": (
+            RxConfig(genie_rate_mbps=24), padded(ppdu)
+        ),
+    }
+
+
+def rx_failure_summary(result) -> tuple:
+    """``(packet_start, rate_mbps, length_bytes)`` of a receive result."""
+    rate = None if result.rate is None else result.rate.data_rate_mbps
+    return (result.packet_start, rate, result.length_bytes)
+
+
+def adjacent_16db_bench():
+    """The test bench of :data:`ADJACENT_16DB_CASE` (``adjacent-16db``)."""
+    from repro.core.testbench import TestbenchConfig, WlanTestbench
+    from repro.scenario import Scenario
+
+    case = ADJACENT_16DB_CASE
+    return WlanTestbench(TestbenchConfig(
+        rate_mbps=case["rate_mbps"],
+        psdu_bytes=case["psdu_bytes"],
+        snr_db=case["snr_db"],
+        scenario=Scenario.preset("adjacent-16db"),
+    ))

@@ -40,13 +40,13 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.channel.fading import FadingChannel
-from repro.channel.interference import reference_power_watts
 from repro.channel.streams import fork_stream
 from repro.rf.signal import Signal
 from repro.scenario.emitters import (
     BluetoothFhEmitter,
     MicrowaveOvenEmitter,
     WlanEmitter,
+    reference_power_watts,
 )
 
 __all__ = ["EMITTER_TYPES", "PRESETS", "Scenario", "preset_names"]
@@ -234,10 +234,10 @@ class Scenario:
         """Smallest even oversampling factor representing every emitter.
 
         ``2 * ceil(halfband / base_rate)`` per emitter — for an 802.11a
-        emitter ``k`` channels out this is exactly the legacy
-        ``2 * (|k| + 1)`` rule ("the baseband signal was over-sampled
-        to fulfill the sampling theorem"), so scenario configs keep the
-        legacy interference path's sample rates bit for bit.
+        emitter ``k`` channels out this is ``2 * (|k| + 1)`` ("the
+        baseband signal was over-sampled to fulfill the sampling
+        theorem").  Without an RF front end the test bench runs at this
+        rate (:func:`repro.core.testbench.bench_oversample`).
         """
         if not self.emitters:
             return 1

@@ -1,11 +1,12 @@
-"""Batch-vs-serial bit-exactness of the batched PHY engine.
+"""Bit-exactness of the batched PHY engine at every batch size.
 
-The batched TX -> channel -> RX chain (``WlanTestbench.run_packet_batch``,
-``Transmitter.transmit_batch``, ``Receiver.receive_batch``) promises to be
-a pure throughput optimization: every batch size must reproduce the
-per-packet path bit for bit — decoded bits, BER/PER KPIs, probe
-summaries, early-stop behaviour, and the frozen golden digests.  This
-module is that promise as a test suite.
+The TX -> channel -> RX chain (``WlanTestbench.run_packet_batch``,
+``Transmitter.transmit_batch``, ``Receiver.receive_batch``) is the only
+path; the scalar entry points are batches of one.  Grouping packets must
+be a pure throughput choice: every batch size must reproduce the frozen
+per-packet digests of :mod:`repro.qa.vectors` bit for bit, and the same
+decoded bits, BER/PER KPIs, probe summaries and early-stop behaviour.
+This module is that promise as a test suite.
 """
 
 import json
@@ -33,28 +34,6 @@ from repro.qa import vectors as vec
 ALL_RATES = sorted(RATES)
 
 
-def _outcomes_equal(a, b):
-    """Strict equality of two PacketOutcome lists (bits and symbols)."""
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert x.bit_errors == y.bit_errors
-        assert x.n_bits == y.n_bits
-        assert x.lost == y.lost
-        assert x.rx_result.success == y.rx_result.success
-        assert x.rx_result.failure == y.rx_result.failure
-        if x.rx_result.psdu is None:
-            assert y.rx_result.psdu is None
-        else:
-            assert np.array_equal(x.rx_result.psdu, y.rx_result.psdu)
-        if x.rx_result.data_symbols is None:
-            assert y.rx_result.data_symbols is None
-        else:
-            assert np.array_equal(
-                x.rx_result.data_symbols, y.rx_result.data_symbols
-            )
-        assert np.array_equal(x.tx_symbols, y.tx_symbols)
-
-
 def _kpis(measurement):
     return (
         measurement.ber,
@@ -67,44 +46,45 @@ def _kpis(measurement):
 
 
 class TestChainBitExactness:
-    """run_packet_batch == N x run_packet, bit for bit, at every rate."""
+    """run_packet and run_packet_batch reproduce the frozen per-packet
+    digests of :mod:`repro.qa.vectors`, bit for bit, at every rate.
+
+    The digests were recorded from the per-packet chain before the scalar
+    entry points became batches of one.
+    """
 
     @pytest.mark.parametrize("rate_mbps", ALL_RATES)
     def test_run_packet_batch_matches_scalar(self, rate_mbps):
-        cfg = TestbenchConfig(rate_mbps=rate_mbps, snr_db=9.0, psdu_bytes=40)
-        bench = WlanTestbench(cfg)
-        children = perf.spawn(1234, 6)
-        scalar = [
-            bench.run_packet(np.random.default_rng(c)) for c in children
-        ]
-        batched = bench.run_packet_batch(
-            [np.random.default_rng(c) for c in children]
-        )
-        _outcomes_equal(scalar, batched)
+        case = f"{rate_mbps}mbps"
+        golden = vec.GOLDEN_PACKET_DIGESTS[case]
+        bench, rngs = vec.packet_case(case)
+        assert vec.packet_outcome_digest(bench.run_packet_batch(rngs)) == golden
+        bench, rngs = vec.packet_case(case)
+        scalar = [bench.run_packet(rng) for rng in rngs]
+        assert vec.packet_outcome_digest(scalar) == golden
 
     @pytest.mark.parametrize("rate_mbps", ALL_RATES)
     def test_transmit_batch_rows_match_transmit(self, rate_mbps):
         tx = Transmitter(TxConfig(rate_mbps=rate_mbps))
+        golden = vec.GOLDEN_RATE_DIGESTS[rate_mbps]
+        fixed = vec.fixed_psdu()
         rng = np.random.default_rng(5)
-        psdus = rng.integers(0, 256, size=(4, 33), dtype=np.uint8)
+        psdus = rng.integers(0, 256, size=(4, fixed.size), dtype=np.uint8)
+        psdus[2] = fixed
         waves, symbols = tx.transmit_batch(psdus)
-        for k in range(4):
-            assert np.array_equal(waves[k], tx.transmit(psdus[k]))
-            assert np.array_equal(symbols[k], tx.data_symbols(psdus[k]))
+        assert vec.digest_samples(waves[2]) == golden["ppdu"]
+        assert vec.digest_samples(symbols[2]) == golden["symbols"]
+        assert vec.digest_samples(tx.transmit(fixed)) == golden["ppdu"]
+        assert vec.digest_samples(tx.data_symbols(fixed)) == golden["symbols"]
 
     def test_low_snr_failures_match_scalar(self):
         """Failure paths (detect / parity / decode) stay identical too."""
-        cfg = TestbenchConfig(rate_mbps=54, snr_db=-2.0, psdu_bytes=40)
-        bench = WlanTestbench(cfg)
-        children = perf.spawn(77, 8)
-        scalar = [
-            bench.run_packet(np.random.default_rng(c)) for c in children
-        ]
-        batched = bench.run_packet_batch(
-            [np.random.default_rng(c) for c in children]
+        bench, rngs = vec.packet_case("54mbps-low-snr")
+        outcomes = bench.run_packet_batch(rngs)
+        assert any(o.lost for o in outcomes)  # exercises failures
+        assert vec.packet_outcome_digest(outcomes) == (
+            vec.GOLDEN_PACKET_DIGESTS["54mbps-low-snr"]
         )
-        assert any(o.lost for o in scalar)  # the scenario exercises failures
-        _outcomes_equal(scalar, batched)
 
 
 class TestMeasureBerBatchSizes:
@@ -298,8 +278,9 @@ class TestOfdmStackedGolden:
         stacked = np.stack([symbols, symbols[::-1]])
         ofdm = OfdmModulator()
         batch = ofdm.modulate_batch(stacked)
-        for k in range(2):
-            assert np.array_equal(batch[k], ofdm.modulate(stacked[k]))
+        for k, golden in enumerate(vec.GOLDEN_MODULATE_DIGESTS):
+            assert vec.digest_samples(batch[k]) == golden
+            assert vec.digest_samples(ofdm.modulate(stacked[k])) == golden
 
 
 class TestGoldenDigestsBatched:

@@ -8,15 +8,15 @@ from repro.channel.fading import (
     FadingChannel,
     exponential_power_delay_profile,
 )
-from repro.channel.interference import (
-    ADJACENT_EXCESS_DB,
-    AdjacentChannelSource,
-    InterferenceScenario,
-    NON_ADJACENT_EXCESS_DB,
-)
 from repro.dsp.params import RATES
 from repro.rf.noise import thermal_noise_power
 from repro.rf.signal import Signal
+from repro.scenario import (
+    ADJACENT_EXCESS_DB,
+    NON_ADJACENT_EXCESS_DB,
+    Scenario,
+    WlanEmitter,
+)
 
 
 class TestAwgn:
@@ -94,18 +94,20 @@ class TestFading:
 
 
 class TestInterference:
+    """The paper's adjacent channels as scenario emitters and presets."""
+
     def test_standard_excess_levels(self):
         assert ADJACENT_EXCESS_DB == 16.0
         assert NON_ADJACENT_EXCESS_DB == 32.0
 
     def test_offset_hz(self):
-        assert AdjacentChannelSource(offset_channels=1).offset_hz == 20e6
-        assert AdjacentChannelSource(offset_channels=-2).offset_hz == -40e6
+        assert WlanEmitter(offset_channels=1).offset_hz == 20e6
+        assert WlanEmitter(offset_channels=-2).offset_hz == -40e6
 
     def test_generated_power_level(self):
         rng = np.random.default_rng(7)
-        src = AdjacentChannelSource(offset_channels=1, excess_db=16.0,
-                                    timing_jitter_samples=0)
+        src = WlanEmitter(offset_channels=1, excess_db=16.0,
+                          timing_jitter_samples=0)
         wanted_power = 1e-7
         sig = src.generate(40000, 80e6, wanted_power, rng)
         measured = np.mean(np.abs(sig.samples[sig.samples != 0]) ** 2)
@@ -113,7 +115,7 @@ class TestInterference:
 
     def test_spectrum_centered_at_offset(self):
         rng = np.random.default_rng(8)
-        src = AdjacentChannelSource(offset_channels=1)
+        src = WlanEmitter(offset_channels=1)
         sig = src.generate(32768, 80e6, 1e-6, rng)
         spec = np.abs(np.fft.fft(sig.samples)) ** 2
         freqs = np.fft.fftfreq(sig.samples.size, 1 / 80e6)
@@ -122,26 +124,26 @@ class TestInterference:
 
     def test_insufficient_sample_rate_rejected(self):
         rng = np.random.default_rng(9)
-        src = AdjacentChannelSource(offset_channels=2)
+        src = WlanEmitter(offset_channels=2)
         with pytest.raises(ValueError):
             src.generate(1000, 80e6, 1e-6, rng)
 
     def test_scenario_none_is_noop(self):
         rng = np.random.default_rng(10)
         sig = Signal(np.ones(100, complex), 80e6)
-        out = InterferenceScenario.none().apply(sig, rng)
+        out = Scenario().apply(sig, rng)
         assert np.allclose(out.samples, sig.samples)
 
     def test_scenario_adjacent_adds_power(self):
         rng = np.random.default_rng(11)
         sig = Signal(np.full(20000, 1e-4 + 0j), 80e6)
-        out = InterferenceScenario.adjacent().apply(sig, rng)
+        out = Scenario.preset("adjacent-16db").apply(sig, rng)
         assert out.power_watts() > 5 * sig.power_watts()
 
     def test_scenario_factories(self):
-        adj = InterferenceScenario.adjacent()
-        non = InterferenceScenario.non_adjacent()
-        assert adj.sources[0].offset_channels == 1
-        assert adj.sources[0].excess_db == 16.0
-        assert non.sources[0].offset_channels == 2
-        assert non.sources[0].excess_db == 32.0
+        (adj,) = Scenario.preset("adjacent-16db").emitters
+        (non,) = Scenario.preset("non-adjacent-32db").emitters
+        assert adj.offset_channels == 1
+        assert adj.excess_db == ADJACENT_EXCESS_DB
+        assert non.offset_channels == 2
+        assert non.excess_db == NON_ADJACENT_EXCESS_DB

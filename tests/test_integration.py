@@ -5,12 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.channel.interference import InterferenceScenario
 from repro.core.testbench import TestbenchConfig, WlanTestbench
 from repro.flow.blocks import build_figure3_schematic
 from repro.flow.cosim import CoSimConfig, CoSimulation
 from repro.flow.dataflow import DataflowEngine
 from repro.rf.frontend import FrontendConfig
+from repro.scenario import Scenario
 
 
 class TestFigure5Mechanism:
@@ -22,7 +22,7 @@ class TestFigure5Mechanism:
             psdu_bytes=30,
             thermal_floor=True,
             frontend=replace(FrontendConfig(), lpf_edge_hz=edge_hz),
-            interference=InterferenceScenario.adjacent(),
+            scenario=Scenario.preset("adjacent-16db"),
             input_level_dbm=-60.0,
         )
         return WlanTestbench(cfg).measure_ber(n_packets=2, seed=seed).ber
@@ -40,25 +40,25 @@ class TestFigure5Mechanism:
 class TestFigure6Mechanism:
     """Compression-point sensitivity with and without the interferer."""
 
-    def _ber(self, p1db, interference, seed=0):
+    def _ber(self, p1db, scenario, seed=0):
         cfg = TestbenchConfig(
             rate_mbps=36,
             psdu_bytes=30,
             thermal_floor=True,
             frontend=replace(FrontendConfig(), lna_p1db_dbm=p1db),
-            interference=interference,
+            scenario=scenario,
             input_level_dbm=-60.0,
         )
         return WlanTestbench(cfg).measure_ber(n_packets=2, seed=seed).ber
 
     def test_linear_lna_clean_with_adjacent(self):
-        assert self._ber(-10.0, InterferenceScenario.adjacent()) < 0.01
+        assert self._ber(-10.0, Scenario.preset("adjacent-16db")) < 0.01
 
     def test_compressed_lna_fails_with_adjacent(self):
-        assert self._ber(-50.0, InterferenceScenario.adjacent()) > 0.3
+        assert self._ber(-50.0, Scenario.preset("adjacent-16db")) > 0.3
 
     def test_without_interferer_same_p1db_is_fine(self):
-        assert self._ber(-50.0, InterferenceScenario.none()) < 0.01
+        assert self._ber(-50.0, None) < 0.01
 
 
 class TestCosimNoiseGapScenario:

@@ -116,3 +116,60 @@ class TestReferenceDecode:
         result = Receiver(RxConfig()).receive(padded)
         assert result.success, result.failure
         assert np.array_equal(result.psdu, vec.reference_psdu())
+
+
+class TestChainRegressionDigests:
+    """The production chain reproduces its frozen regression digests.
+
+    Packet-outcome digests are checked at every batch size in
+    ``tests/test_batch.py``; this class covers the receiver's failure
+    corpus, the adjacent-channel measurement and the emitter waveform.
+    """
+
+    def test_every_packet_case_has_a_digest(self):
+        assert set(vec.PACKET_CASES) == set(vec.GOLDEN_PACKET_DIGESTS)
+
+    def test_failure_corpus_covers_every_receiver_failure(self):
+        """Each failure string the receiver can return has an input."""
+        import re
+        from pathlib import Path
+
+        import repro.dsp.receiver as receiver
+
+        source = Path(receiver.__file__).read_text()
+        reasons = set(re.findall(r'failure="([^"]+)"', source))
+        assert reasons == set(vec.GOLDEN_RX_FAILURES)
+        assert set(vec.rx_failure_inputs()) == reasons
+
+    @pytest.mark.parametrize("failure", sorted(vec.GOLDEN_RX_FAILURES))
+    def test_rx_failure_input(self, failure):
+        from repro.dsp.receiver import Receiver
+
+        config, samples = vec.rx_failure_inputs()[failure]
+        receiver = Receiver(config)
+        result = receiver.receive(samples)
+        assert not result.success
+        assert result.failure == failure
+        assert vec.rx_failure_summary(result) == vec.GOLDEN_RX_FAILURES[failure]
+        # Batch neighbours do not change a row's result.
+        pair = receiver.receive_batch(np.stack([samples, samples]))
+        for row in pair:
+            assert row.failure == failure
+            assert vec.rx_failure_summary(row) == vec.rx_failure_summary(result)
+
+    def test_adjacent_16db_measurement(self):
+        case = vec.ADJACENT_16DB_CASE
+        measured = vec.adjacent_16db_bench().measure_ber(
+            n_packets=case["n_packets"], seed=case["seed"]
+        )
+        assert measured.ber > 0  # the interferer must actually bite
+        assert (measured.bit_errors, measured.bits_total) == (
+            vec.GOLDEN_ADJACENT_16DB
+        )
+
+    def test_wlan_emitter_waveform(self):
+        from repro.scenario import WlanEmitter
+
+        emitter = WlanEmitter(offset_channels=1, excess_db=16.0)
+        burst = emitter.generate(2048, 80e6, 1.0, np.random.default_rng(0))
+        assert vec.digest_samples(burst.samples) == vec.GOLDEN_WLAN_EMITTER

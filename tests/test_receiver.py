@@ -153,3 +153,42 @@ class TestFailureModes:
         result = _loopback(24, psdu)
         assert result.data_symbols is not None
         assert result.data_symbols.shape[1] == 48
+
+
+class TestNonFiniteInput:
+    """NaN/inf samples are an input error, never a plausible result.
+
+    The repro is a 50-byte 24 Mbit/s packet with 100-sample guards: a
+    single bad sample used to read as ordinary packet loss ("timing
+    search failed") at sample 300, and as a successful decode at samples
+    50 and 900.
+    """
+
+    def _packet(self):
+        psdu = random_psdu(50, np.random.default_rng(1))
+        wave = Transmitter(TxConfig(rate_mbps=24)).transmit(psdu)
+        guard = np.zeros(100, complex)
+        return np.concatenate([guard, wave, guard])
+
+    @pytest.mark.parametrize("index", [50, 300, 900])
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)]
+    )
+    def test_receive_raises(self, index, bad):
+        samples = self._packet()
+        samples[index] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Receiver(RxConfig()).receive(samples)
+
+    def test_receive_batch_names_the_bad_rows(self):
+        rows = np.stack([self._packet()] * 4)
+        rows[1, 300] = np.nan
+        rows[3, 50] = np.inf
+        with pytest.raises(ValueError, match=r"rows \[1, 3\]"):
+            Receiver(RxConfig()).receive_batch(rows)
+
+    def test_finite_rows_still_decode(self):
+        results = Receiver(RxConfig()).receive_batch(
+            np.stack([self._packet()] * 2)
+        )
+        assert all(r.success for r in results)

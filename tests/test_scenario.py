@@ -16,16 +16,10 @@ from repro.channel.fading import (
     FadingChannel,
     exponential_power_delay_profile,
 )
-from repro.channel.interference import (
-    AdjacentChannelSource,
-    InterferenceScenario,
-    active_power_watts,
-    reference_power_watts,
-    scale_to_excess,
-)
 from repro.channel.streams import fork_stream
 from repro.core.sweep import ParameterSweep
 from repro.core.testbench import TestbenchConfig, WlanTestbench
+from repro.qa import vectors
 from repro.rf.signal import Signal
 from repro.scenario import (
     BluetoothFhEmitter,
@@ -33,7 +27,10 @@ from repro.scenario import (
     PRESETS,
     Scenario,
     WlanEmitter,
+    active_power_watts,
     preset_names,
+    reference_power_watts,
+    scale_to_excess,
 )
 
 
@@ -53,10 +50,11 @@ class TestEmitterStreamForking:
         assert rng.bit_generator.state == state
 
     def test_legacy_interference_never_advances_caller_rng(self):
+        """The paper's adjacent channel (now a preset) forks its stream."""
         rng = np.random.default_rng(3)
         wanted = _burst()
         state = rng.bit_generator.state
-        InterferenceScenario.adjacent().apply(wanted, rng)
+        Scenario.preset("adjacent-16db").apply(wanted, rng)
         assert rng.bit_generator.state == state
 
     def test_wanted_path_invariant_to_extra_emitters(self):
@@ -204,8 +202,9 @@ class TestIsGating:
             bench.measure_ber(n_packets=1, estimator="is")
 
     def test_is_raises_with_legacy_interference(self):
-        bench = self._bench(interference=InterferenceScenario.adjacent())
-        with pytest.raises(ValueError, match="interference"):
+        """The paper's adjacent channel, now the ``adjacent-16db`` preset."""
+        bench = self._bench(scenario=Scenario.preset("adjacent-16db"))
+        with pytest.raises(ValueError, match="non-AWGN emitters"):
             bench.measure_ber(n_packets=1, estimator="is")
 
     def test_is_error_names_the_fallback(self):
@@ -566,33 +565,34 @@ class TestScenarioConfig:
         assert Scenario().is_trivial
 
     def test_wlan_emitter_is_the_legacy_source(self):
-        emitter = WlanEmitter(offset_channels=1, excess_db=16.0)
-        assert isinstance(emitter, AdjacentChannelSource)
-        legacy = InterferenceScenario.adjacent().sources[0]
-        rng_kwargs = dict(
-            n_samples=2048, sample_rate=80e6, wanted_power_watts=1.0
+        """The adjacent preset's emitter reproduces the frozen waveform of
+        the paper's section-4.1 interference source."""
+        (emitter,) = Scenario.preset("adjacent-16db").emitters
+        assert emitter == WlanEmitter(offset_channels=1, excess_db=16.0)
+        burst = emitter.generate(
+            n_samples=2048, sample_rate=80e6, wanted_power_watts=1.0,
+            rng=np.random.default_rng(0),
         )
-        np.testing.assert_array_equal(
-            emitter.generate(rng=np.random.default_rng(0),
-                             **rng_kwargs).samples,
-            legacy.generate(rng=np.random.default_rng(0),
-                            **rng_kwargs).samples,
+        assert vectors.digest_samples(burst.samples) == (
+            vectors.GOLDEN_WLAN_EMITTER
         )
 
 
 class TestScenarioBench:
     def test_adjacent_scenario_bit_identical_to_legacy(self):
-        """Acceptance: the paper's +16 dB point via configs == legacy."""
-        def measure(**channel):
-            cfg = TestbenchConfig(rate_mbps=36, psdu_bytes=60,
-                                  snr_db=14.0, **channel)
-            return WlanTestbench(cfg).measure_ber(n_packets=4, seed=1)
-
-        legacy = measure(interference=InterferenceScenario.adjacent())
-        mixed = measure(scenario=Scenario.preset("adjacent-16db"))
-        assert legacy.ber > 0  # the interferer must actually bite
-        assert legacy.bit_errors == mixed.bit_errors
-        assert legacy.bits_total == mixed.bits_total
+        """Acceptance: the paper's +16 dB point via configs reproduces
+        the frozen legacy measurement, at batch 1 and batch 4."""
+        case = vectors.ADJACENT_16DB_CASE
+        bench = vectors.adjacent_16db_bench()
+        for batch in (1, 4):
+            mixed = bench.measure_ber(
+                n_packets=case["n_packets"], seed=case["seed"],
+                batch_size=batch,
+            )
+            assert mixed.ber > 0  # the interferer must actually bite
+            assert (mixed.bit_errors, mixed.bits_total) == (
+                vectors.GOLDEN_ADJACENT_16DB
+            )
 
     def test_oversample_follows_scenario(self):
         cfg = TestbenchConfig(

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.channel.fading import FadingChannel
-from repro.channel.interference import InterferenceScenario
 from repro.core.testbench import TestbenchConfig, WlanTestbench
 from repro.rf.frontend import FrontendConfig, ideal_frontend_config
+from repro.scenario import Scenario
 
 
 class TestDspOnlyBench:
@@ -138,7 +138,7 @@ class TestRfBench:
                 rate_mbps=24,
                 psdu_bytes=40,
                 snr_db=25.0,
-                interference=InterferenceScenario.adjacent(),
+                scenario=Scenario.preset("adjacent-16db"),
             )
         )
         # No front end: the bench must oversample on its own ("to fulfill
