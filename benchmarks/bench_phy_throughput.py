@@ -26,6 +26,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro import perf  # noqa: E402
 from repro.core.testbench import TestbenchConfig, WlanTestbench  # noqa: E402
 
 #: Representative rates: BPSK 1/2, QPSK 1/2, 16-QAM 1/2, 64-QAM 3/4.
@@ -65,16 +66,14 @@ def run_phy_throughput(
         serial_rate = None
         serial_kpis = None
         for batch in batch_sizes:
-            bench.measure_ber(
-                n_packets=n_packets, seed=seed, batch_size=batch
-            )  # warm-up: caches, allocator
-            wall_s = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                m = bench.measure_ber(
-                    n_packets=n_packets, seed=seed, batch_size=batch
-                )
-                wall_s = min(wall_s, time.perf_counter() - t0)
+            with perf.options_scope(batch_size=batch):
+                # warm-up: caches, allocator
+                bench.measure_ber(n_packets=n_packets, seed=seed)
+                wall_s = float("inf")
+                for _ in range(repeats):
+                    t0 = time.perf_counter()
+                    m = bench.measure_ber(n_packets=n_packets, seed=seed)
+                    wall_s = min(wall_s, time.perf_counter() - t0)
             pkt_per_s = n_packets / wall_s
             if batch == 1:
                 serial_rate = pkt_per_s

@@ -261,11 +261,8 @@ def _cmd_profile(args) -> int:
     # the profile and the trace file see the same spans.
     active = obs.get_tracer()
     tracer = active if active.enabled else obs.Tracer()
-    previous = obs.set_tracer(tracer)
-    try:
+    with obs.telemetry_scope(tracer=tracer):
         code = inner.func(inner)
-    finally:
-        obs.set_tracer(previous)
 
     rows = obs.profile_rows(tracer.records, prefix="block:")
     print()
@@ -620,7 +617,7 @@ def _cmd_probe(args) -> int:
     )
     bench = WlanTestbench(cfg)
     measurement = bench.measure_ber(n_packets=args.packets, seed=args.seed)
-    probes = obs.get_probes()
+    probes = obs.telemetry().probes
     export = probes.export()
     print(
         f"{args.packets} packets at {args.rate} Mbps, {args.level:.1f} dBm "
@@ -1239,8 +1236,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_observed(args, argv) -> int:
-    """Run the selected command under a tracer + fresh metrics registry.
+def _command_line(argv) -> str:
+    return "repro " + " ".join(argv if argv is not None else sys.argv[1:])
+
+
+def _telemetry_changes(args, argv) -> dict:
+    """The sinks the flags replace in the active :class:`repro.obs.Telemetry`.
+
+    Probes follow ``--probes`` (or ``probe``'s preset) and a live
+    monitor follows ``--live``/``--metrics-port``/``--openmetrics``.  An
+    observed run (any of those, ``--trace``, ``--metrics`` or
+    ``--store``) records into its own tracer and metrics registry and,
+    with ``--store``, a run writer.
+    """
+    from repro import obs
+
+    changes = {}
+    preset = args.probes
+    if args.command == "probe" and preset is None:
+        preset = args.preset
+    if preset is not None:
+        changes["probes"] = obs.ProbeRegistry(obs.probe_preset(preset))
+    live = args.live or args.metrics_port is not None or args.openmetrics
+    if live:
+        changes["monitor"] = obs.LiveMonitor()
+    if args.trace or args.metrics or args.store or live:
+        changes.update(
+            tracer=obs.Tracer(),
+            registry=obs.MetricsRegistry(),
+            writer=obs.RunStore(args.store).create(
+                args.command, name=args.command, seed=args.seed,
+                command=_command_line(argv),
+            ) if args.store else None,
+        )
+    return changes
+
+
+def _run_observed(args, argv, bundle) -> int:
+    """Run the selected command under the run's tracer and registry.
 
     With ``--store`` the whole observed run — manifest, metrics, trace,
     plus whatever tables/curves/KPIs the command's sweeps, campaigns and
@@ -1249,14 +1282,11 @@ def _run_observed(args, argv) -> int:
     """
     from repro import obs
 
-    tracer = obs.Tracer()
-    registry = obs.MetricsRegistry()
-    command_line = (
-        "repro " + " ".join(argv if argv is not None else sys.argv[1:])
-    )
+    tracer, registry = bundle.tracer, bundle.registry
+    probes, monitor, writer = bundle.probes, bundle.monitor, bundle.writer
     manifest = obs.build_manifest(
         seed=args.seed,
-        command=command_line,
+        command=_command_line(argv),
         config={
             k: v for k, v in vars(args).items()
             # Pure observation flags stay out of the manifest config
@@ -1266,14 +1296,6 @@ def _run_observed(args, argv) -> int:
                          "live", "metrics_port", "openmetrics")
         },
     )
-    writer = None
-    if args.store:
-        store = obs.RunStore(args.store)
-        writer = store.create(
-            args.command, name=args.command, seed=args.seed,
-            command=command_line,
-        )
-    monitor = obs.get_live_monitor()
     if monitor is not None and args.store:
         # Spool flight records next to the store so `repro watch` can
         # tail this run from another terminal while it executes.
@@ -1282,17 +1304,8 @@ def _run_observed(args, argv) -> int:
         monitor.open_spool(
             Path(args.store) / "live" / f"{args.command}.jsonl"
         )
-    previous_tracer = obs.set_tracer(tracer)
-    previous_registry = obs.set_registry(registry)
-    previous_writer = obs.set_current_writer(writer)
-    try:
-        with tracer.span(f"run:{args.command}"):
-            code = args.func(args)
-    finally:
-        obs.set_tracer(previous_tracer)
-        obs.set_registry(previous_registry)
-        obs.set_current_writer(previous_writer)
-    probes = obs.get_probes()
+    with tracer.span(f"run:{args.command}"):
+        code = args.func(args)
     if probes.enabled and probes.has_data():
         probes.emit_metrics(registry)
         if writer is not None:
@@ -1350,8 +1363,14 @@ def _normalize_probe_flag(argv: List[str]) -> List[str]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    from repro import perf
+    """CLI entry point; returns the process exit code.
+
+    The global flags become one :class:`repro.perf.RunOptions` and one
+    :class:`repro.obs.Telemetry`, both built and validated before
+    anything is installed (a bad value exits 2 with a one-line usage
+    error) and installed for exactly the command's run.
+    """
+    from repro import obs, perf
 
     parser = build_parser()
     argv = _normalize_probe_flag(
@@ -1362,67 +1381,36 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Store consumers (runs/report) read run directories; they never
         # trace or persist themselves.
         return args.func(args)
-    previous_jobs = None
-    previous_memoize = None
-    previous_retries = None
-    previous_timeout = None
-    previous_resume = None
-    previous_plan = None
-    previous_probes = None
-    installed_plan = False
-    installed_probes = False
-    probe_preset_name = args.probes
-    if args.command == "probe" and probe_preset_name is None:
-        probe_preset_name = args.preset
-    if probe_preset_name is not None:
-        from repro import obs
-
-        previous_probes = obs.set_probes(
-            obs.ProbeRegistry(obs.probe_preset(probe_preset_name))
-        )
-        installed_probes = True
-    if args.jobs is not None:
-        previous_jobs = perf.set_default_jobs(args.jobs)
-    previous_batch = None
-    if args.batch_size is not None:
-        previous_batch = perf.set_default_batch_size(args.batch_size)
-    if args.memoize:
-        previous_memoize = perf.set_default_memoize(True)
-    if args.retries is not None:
-        previous_retries = perf.set_default_retries(args.retries)
-    if args.task_timeout is not None:
-        previous_timeout = perf.set_default_task_timeout(args.task_timeout)
-    if args.resume:
-        previous_resume = perf.set_default_resume(True)
-    if args.inject_faults:
-        previous_plan = perf.set_fault_plan(
-            perf.parse_fault_spec(args.inject_faults)
-        )
-        installed_plan = True
-    live_requested = bool(
-        args.live or args.metrics_port is not None or args.openmetrics
-    )
-    monitor = None
-    dashboard = None
-    server = None
-    previous_monitor = None
-    installed_monitor = False
-    if live_requested:
-        from repro import obs
-
-        monitor = obs.LiveMonitor()
-        if args.live:
-            dashboard = obs.LiveDashboard()
-            monitor.on_update = dashboard.on_update
-        previous_monitor = obs.set_live_monitor(monitor)
-        installed_monitor = True
-        if args.metrics_port is not None:
-            server = obs.MetricsServer(port=args.metrics_port).start()
-            print(f"live metrics: {server.url}", file=sys.stderr)
     try:
-        if args.trace or args.metrics or args.store or live_requested:
-            return _run_observed(args, argv)
-        return args.func(args)
+        options = perf.run_options().overlay(
+            jobs=args.jobs,
+            batch_size=args.batch_size,
+            memoize=args.memoize or None,
+            retries=args.retries,
+            task_timeout=args.task_timeout,
+            resume=args.resume or None,
+            fault_plan=(
+                perf.parse_fault_spec(args.inject_faults)
+                if args.inject_faults else None
+            ),
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    changes = _telemetry_changes(args, argv)
+    monitor = changes.get("monitor")
+    dashboard = server = None
+    if args.live:
+        dashboard = obs.LiveDashboard()
+        monitor.on_update = dashboard.on_update
+    try:
+        with perf.options_scope(options), \
+                obs.telemetry_scope(**changes) as bundle:
+            if args.metrics_port is not None:
+                server = obs.MetricsServer(port=args.metrics_port).start()
+                print(f"live metrics: {server.url}", file=sys.stderr)
+            if "registry" in changes:  # an observed run
+                return _run_observed(args, argv, bundle)
+            return args.func(args)
     except perf.InjectedFault as exc:
         print(f"interrupted: {exc}", file=sys.stderr)
         return 70
@@ -1433,34 +1421,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         if server is not None:
             server.stop()
-        if dashboard is not None and monitor is not None:
+        if dashboard is not None:
             dashboard.final(monitor)
         if monitor is not None:
             # No-op on a clean run (the spool was already removed);
             # flushes and keeps the spool after an abort.
             monitor.close_spool()
-        if installed_monitor:
-            from repro import obs
-
-            obs.set_live_monitor(previous_monitor)
-        if previous_jobs is not None:
-            perf.set_default_jobs(previous_jobs)
-        if previous_batch is not None:
-            perf.set_default_batch_size(previous_batch)
-        if previous_memoize is not None:
-            perf.set_default_memoize(previous_memoize)
-        if previous_retries is not None:
-            perf.set_default_retries(previous_retries)
-        if previous_timeout is not None:
-            perf.set_default_task_timeout(previous_timeout)
-        if previous_resume is not None:
-            perf.set_default_resume(previous_resume)
-        if installed_plan:
-            perf.set_fault_plan(previous_plan)
-        if installed_probes:
-            from repro import obs
-
-            obs.set_probes(previous_probes)
 
 
 if __name__ == "__main__":

@@ -391,7 +391,7 @@ class VerificationCampaign:
         """The store backing check checkpoints, or None when unavailable."""
         if store is not None:
             return store
-        writer = obs.current_writer()
+        writer = obs.telemetry().writer
         return writer.store if writer is not None else None
 
     def run(
@@ -439,7 +439,7 @@ class VerificationCampaign:
         """
         emit = obs.as_listener(progress)
         if resume is None:
-            resume = perf.get_default_resume()
+            resume = perf.run_options().resume
         ckpt_store = self._checkpoint_store(store) if resume else None
         selected = [
             name for name in self.CHECKS

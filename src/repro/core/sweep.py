@@ -384,14 +384,14 @@ class ParameterSweep:
         cache again — the surviving prefix loads, the tail runs live.
         """
         if memoize is None:
-            memoize = perf.get_default_memoize()
+            memoize = perf.run_options().memoize
         if resume:
             memoize = True
         if not memoize:
             return None
         if store is not None:
             return store
-        writer = obs.current_writer()
+        writer = obs.telemetry().writer
         return writer.store if writer is not None else None
 
     def run(
@@ -445,7 +445,7 @@ class ParameterSweep:
         """
         emit = obs.as_listener(progress)
         if resume is None:
-            resume = perf.get_default_resume()
+            resume = perf.run_options().resume
         memo_store = self._memo_store(store, memoize, resume=resume)
         children = perf.spawn(self.seed, len(self.values))
         measurements: List[Optional[BerMeasurement]] = (
@@ -668,7 +668,7 @@ class SimulationManager:
         """
         from repro import perf
 
-        jobs = perf.resolve_jobs(jobs)
+        jobs = perf.jobs_for(jobs)
         names = list(self._sweeps)
         if jobs == 1 or len(names) <= 1:
             for name in names:

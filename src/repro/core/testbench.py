@@ -453,7 +453,7 @@ class WlanTestbench:
             List of :class:`PacketOutcome`, one per packet.
         """
         cfg = self.config
-        probes = obs.get_probes()
+        probes = obs.telemetry().probes
         if probe_tags is None:
             probe_tags = ["pkt"] * len(rngs)
         psdus = np.stack([random_psdu(cfg.psdu_bytes, rng) for rng in rngs])
@@ -497,9 +497,6 @@ class WlanTestbench:
         run_name: str = "ber",
         jobs: Optional[int] = None,
         chunk_size: Optional[int] = None,
-        batch_size: Optional[int] = None,
-        retries: Optional[int] = None,
-        task_timeout: Optional[float] = None,
         estimator: str = "mc",
         boost_db: Optional[float] = None,
     ) -> BerMeasurement:
@@ -532,18 +529,12 @@ class WlanTestbench:
             jobs: worker processes for packet chunks; None defers to
                 the ambient ``--jobs`` default, 1 runs in-process.
             chunk_size: packets per dispatched chunk (early-stop
-                granularity); None uses the resolved batch size, so a
-                chunk is one batched chain evaluation.
-            batch_size: packets evaluated per stacked PHY-chain pass
-                inside a chunk; None defers to the ambient
-                ``--batch-size`` default.  Any batch size is
-                bit-identical — it only changes throughput.
-            retries: per-chunk retry budget on task failure (each
-                attempt replays the chunk's own seed children, so a
-                retried measurement is bit-identical to a clean one);
-                None defers to the ambient ``--retries`` default.
-            task_timeout: per-chunk wall-clock budget in seconds; None
-                defers to the ambient ``--task-timeout`` default.
+                granularity); None uses the run's batch size
+                (:class:`repro.perf.RunOptions`), so a chunk is one
+                batched chain evaluation.  Batch size, retries (each
+                attempt replays the chunk's own seed children) and the
+                per-chunk timeout come from the run options; none of
+                them changes the measurement.
             estimator: ``"mc"`` (plain Monte-Carlo, the classic path)
                 or ``"is"`` (importance sampling on the AWGN noise: the
                 channel draws from a boosted-variance proposal and the
@@ -579,7 +570,7 @@ class WlanTestbench:
             boost_db = None
         elif boost_db is None:
             boost_db = _rare.auto_boost_db(self.config)
-        batch = perf.resolve_batch_size(batch_size)
+        batch = perf.run_options().batch_size
         if chunk_size is None:
             chunk_size = batch
         if chunk_size < 1:
@@ -663,8 +654,6 @@ class WlanTestbench:
             stage="ber",
             on_result=accumulate,
             stop=crossed,
-            retries=retries,
-            task_timeout=task_timeout,
         )
         if state is not None:
             measurement = state.result(
@@ -675,7 +664,7 @@ class WlanTestbench:
             )
         else:
             measurement = counter.result()
-        registry = obs.get_registry()
+        registry = obs.telemetry().registry
         registry.counter(
             "packets_simulated", "packets run through the test bench"
         ).inc(measurement.packets)

@@ -475,7 +475,7 @@ class CoSimulation:
                 lost += l
         elapsed = run_timer.elapsed
         ber = errors / bits if bits else 0.0
-        registry = obs.get_registry()
+        registry = obs.telemetry().registry
         registry.counter(
             "cosim_packets", "packets simulated per engine mode"
         ).inc(n_packets, mode=mode)

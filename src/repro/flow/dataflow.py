@@ -382,7 +382,7 @@ class DataflowEngine:
         seed: seed of the run's random generator.
         tracer: span sink for per-block timing; None uses the process
             tracer (a no-op unless one was installed via
-            :func:`repro.obs.set_tracer`).
+            :func:`repro.obs.telemetry_scope`).
     """
 
     def __init__(
@@ -432,7 +432,7 @@ class DataflowEngine:
         ``flow:{schematic}.{block}.{port}``.  Sorted order keeps the
         registry state independent of wire-dict insertion order.
         """
-        registry = obs.get_probes()
+        registry = obs.telemetry().probes
         if not registry.enabled:
             return
         for key in sorted(probes):

@@ -2,8 +2,18 @@
 
 One package instruments the whole stack: structured tracing (nested
 spans and events with a JSONL sink), a metrics registry (counters,
-gauges, histograms with labels), run manifests (seed, config, versions,
-source revision), unified progress events, and trace-profile analysis.
+gauges, histograms with labels), signal probes, live telemetry, run
+manifests (seed, config, versions, source revision), a run store,
+unified progress events, and trace-profile analysis.
+
+A run's sinks — tracer, metrics registry, probe registry, live monitor
+and run writer — travel together in one frozen :class:`Telemetry`
+bundle held in one ambient slot: :func:`telemetry` reads it and
+:func:`telemetry_scope` installs one for a ``with`` block.  Every task
+attempt of :func:`repro.perf.parallel_map` runs under an empty scratch
+bundle (:meth:`Telemetry.spawn`) that the parent merges in task order
+when the attempt succeeds, so a result's telemetry does not depend on
+how the work was scheduled.
 
 The instrumentation is **zero-cost when disabled**: the default tracer
 is a no-op, so library code can be sprinkled with ``obs.span(...)``
@@ -15,17 +25,15 @@ Typical producer code::
 
     with obs.span("block:receiver", samples=baseband.size):
         result = receiver.receive(baseband)
-    obs.get_registry().counter("packets_simulated").inc()
+    obs.telemetry().registry.counter("packets_simulated").inc()
 
 Typical consumer code::
 
-    tracer = obs.Tracer()
-    previous = obs.set_tracer(tracer)
-    try:
+    with obs.telemetry_scope(tracer=obs.Tracer()) as bundle:
         run_experiment()
-    finally:
-        obs.set_tracer(previous)
-    tracer.write_jsonl("run.jsonl", header=obs.build_manifest().as_dict())
+    bundle.tracer.write_jsonl(
+        "run.jsonl", header=obs.build_manifest().as_dict()
+    )
 """
 
 from __future__ import annotations
@@ -46,8 +54,6 @@ from repro.obs.store import (
     RunWriter,
     config_key,
     contribute,
-    current_writer,
-    set_current_writer,
 )
 from repro.obs.regress import (
     Delta,
@@ -70,16 +76,12 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_registry,
-    set_registry,
 )
 from repro.obs.probes import (
     PROBE_PRESETS,
     ProbeConfig,
     ProbeRegistry,
-    get_probes,
     probe_preset,
-    set_probes,
 )
 from repro.obs.profile import SpanSummary, aggregate_spans, profile_rows
 from repro.obs.live import (
@@ -88,28 +90,30 @@ from repro.obs.live import (
     LiveMonitor,
     MetricsServer,
     classify_point,
-    get_live_monitor,
     kpi_trend,
     openmetrics_text,
     parse_openmetrics,
     render_dashboard,
-    set_live_monitor,
     sparkline,
 )
 from repro.obs.live import note_region as live_note_region
 from repro.obs.live import note_task as live_note_task
-from repro.obs.live import suspended as live_suspended
 from repro.obs.progress import ProgressEvent, ProgressListener, as_listener, printer
+from repro.obs.bundle import (
+    Telemetry,
+    get_tracer,
+    set_probes,
+    set_tracer,
+    span,
+    telemetry,
+    telemetry_scope,
+)
 from repro.obs.tracer import (
     EventRecord,
     NullTracer,
     SpanRecord,
     Tracer,
-    event,
-    get_tracer,
     read_jsonl,
-    set_tracer,
-    span,
 )
 
 __all__ = [
@@ -139,6 +143,7 @@ __all__ = [
     "SEEDING_SCHEME",
     "SpanRecord",
     "SpanSummary",
+    "Telemetry",
     "Timed",
     "Tracer",
     "aggregate_spans",
@@ -149,17 +154,11 @@ __all__ = [
     "compare_runs",
     "config_key",
     "contribute",
-    "current_writer",
-    "event",
     "flatten_metrics",
-    "get_live_monitor",
-    "get_probes",
-    "get_registry",
     "get_tracer",
     "kpi_trend",
     "live_note_region",
     "live_note_task",
-    "live_suspended",
     "openmetrics_text",
     "parse_openmetrics",
     "printer",
@@ -172,14 +171,13 @@ __all__ = [
     "render_run_markdown",
     "render_timeline",
     "run_sections",
-    "set_current_writer",
-    "set_live_monitor",
     "set_probes",
-    "set_registry",
     "set_tracer",
     "source_revision",
     "span",
     "sparkline",
+    "telemetry",
+    "telemetry_scope",
     "timed",
     "write_chrome_trace",
 ]

@@ -38,11 +38,11 @@ Determinism contract (the same one the probe layer honours):
   bits/second — live only in the in-memory snapshot and in ``live_*``
   gauges, which :class:`repro.obs.RegressionConfig` ignores by default.
 * Serial and ``--jobs N`` runs produce **equivalent flight records**:
-  events emitted *inside* task execution are captured symmetrically —
-  suppressed via :func:`suspended` around the in-process fast path, and
-  absent from the parent in pooled runs because workers disable their
-  (fork-inherited) monitor — while parent-side consumption events are
-  identical in both modes because results are consumed in task order.
+  every task attempt, in process or in a pool worker, runs under a
+  scratch :class:`repro.obs.Telemetry` bundle with no monitor, so
+  events emitted *inside* task execution never reach it in either
+  mode, while parent-side consumption events are identical in both
+  modes because results are consumed in task order.
 * A failed attempt's events never double-count: progress events fire
   only when a result is *consumed* (post-retry), and failed
   :func:`note_task` round-trips are excluded from completion counts
@@ -59,12 +59,12 @@ import sys
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import metrics as _metrics
+from repro.obs.bundle import telemetry
 
 __all__ = [
     "ConvergenceConfig",
@@ -72,7 +72,6 @@ __all__ = [
     "LiveMonitor",
     "MetricsServer",
     "classify_point",
-    "get_live_monitor",
     "kpi_trend",
     "note_region",
     "note_task",
@@ -80,9 +79,7 @@ __all__ = [
     "openmetrics_text",
     "parse_openmetrics",
     "render_dashboard",
-    "set_live_monitor",
     "sparkline",
-    "suspended",
 ]
 
 
@@ -502,7 +499,7 @@ class LiveMonitor:
         :class:`repro.obs.RegressionConfig` ignores ``live_*`` by
         default — they inform, they never gate.
         """
-        registry = registry if registry is not None else _metrics.get_registry()
+        registry = registry if registry is not None else telemetry().registry
         snap = self.snapshot()
         summary = self.flight_summary()
         registry.gauge(
@@ -599,60 +596,19 @@ class LiveMonitor:
             self._spool_fh = None
 
 
-# -- ambient monitor ----------------------------------------------------
-_monitor: Optional[LiveMonitor] = None
-_suspend_depth = 0
-
-
-def get_live_monitor() -> Optional[LiveMonitor]:
-    """The ambient monitor installed by the CLI's ``--live`` (or None)."""
-    return _monitor
-
-
-def set_live_monitor(
-    monitor: Optional[LiveMonitor],
-) -> Optional[LiveMonitor]:
-    """Install ``monitor`` as the ambient monitor; returns the previous.
-
-    Pool workers call this with ``None`` at initialisation: a forked
-    worker inherits the parent's monitor, and capturing events on both
-    sides would double-count them (and corrupt the parent's spool).
-    """
-    global _monitor
-    previous = _monitor
-    _monitor = monitor
-    return previous
-
-
-@contextmanager
-def suspended():
-    """Suppress live capture inside the block (re-entrant).
-
-    The in-process execution path of :func:`repro.perf.parallel_map`
-    wraps each task's body in this, so events a task emits *internally*
-    (e.g. the per-chunk BER events of a sweep point's measurement) are
-    invisible to the monitor — exactly as they are in a pooled run,
-    where they happen inside a worker whose monitor is disabled.  That
-    symmetry is what makes serial and ``--jobs N`` flight records equal.
-    """
-    global _suspend_depth
-    _suspend_depth += 1
-    try:
-        yield
-    finally:
-        _suspend_depth -= 1
-
-
+# -- feeds from the ambient telemetry bundle ---------------------------
 def observe_event(event) -> None:
     """Forward a progress event to the ambient monitor (no-op without)."""
-    if _monitor is not None and _suspend_depth == 0:
-        _monitor.on_event(event)
+    monitor = telemetry().monitor
+    if monitor is not None:
+        monitor.on_event(event)
 
 
 def note_region(stage: str, n_tasks: int, jobs: int) -> None:
     """Forward a parallel-region start to the ambient monitor."""
-    if _monitor is not None and _suspend_depth == 0:
-        _monitor.note_region(stage, n_tasks, jobs)
+    monitor = telemetry().monitor
+    if monitor is not None:
+        monitor.note_region(stage, n_tasks, jobs)
 
 
 def note_task(
@@ -664,8 +620,9 @@ def note_task(
     attempt: int = 0,
 ) -> None:
     """Forward a task round-trip to the ambient monitor."""
-    if _monitor is not None and _suspend_depth == 0:
-        _monitor.note_task(
+    monitor = telemetry().monitor
+    if monitor is not None:
+        monitor.note_task(
             stage, index, duration_s, worker_pid, ok=ok, attempt=attempt
         )
 
@@ -854,7 +811,7 @@ def openmetrics_text(registry=None, monitor=None) -> str:
         monitor: optional :class:`LiveMonitor` whose ``live_*`` gauges
             are merged into the exposition without mutating ``registry``.
     """
-    registry = registry if registry is not None else _metrics.get_registry()
+    registry = registry if registry is not None else telemetry().registry
     if monitor is not None and monitor.has_data():
         combined = _metrics.MetricsRegistry()
         combined.merge(registry.snapshot())
@@ -1019,22 +976,25 @@ class MetricsServer:
 
     Serves ``GET /metrics`` (and a one-line index at ``/``) on
     ``127.0.0.1`` using only the stdlib.  The exposition is rendered at
-    request time from the ambient registry and live monitor — or from
-    the explicit callables passed in — so scrapes see the run as it is.
+    request time from the registry and live monitor of the telemetry
+    bundle active when the server was built — or from the explicit
+    callables passed in — so scrapes see the run as it is, even while
+    a task runs under its scratch bundle.
 
     Args:
         port: TCP port; 0 picks a free one (read :attr:`port` after
             :meth:`start`).
         registry_fn / monitor_fn: sources consulted per request;
-            default to the ambient registry / monitor.
+            default to the registry / monitor of that bundle.
     """
 
     def __init__(self, port: int = 0, host: str = "127.0.0.1",
                  registry_fn=None, monitor_fn=None):
         self._requested_port = int(port)
         self.host = host
-        self.registry_fn = registry_fn or _metrics.get_registry
-        self.monitor_fn = monitor_fn or get_live_monitor
+        bundle = telemetry()
+        self.registry_fn = registry_fn or (lambda: bundle.registry)
+        self.monitor_fn = monitor_fn or (lambda: bundle.monitor)
         self._server = None
         self._thread = None
 

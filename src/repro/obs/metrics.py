@@ -23,8 +23,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "get_registry",
-    "set_registry",
 ]
 
 _LabelKey = Tuple[Tuple[str, str], ...]
@@ -272,19 +270,3 @@ class MetricsRegistry:
                 else:
                     lines.append(f"{name}{label} {value:.9g}")
         return "\n".join(lines)
-
-
-_registry = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default metrics registry."""
-    return _registry
-
-
-def set_registry(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """Install a registry (None for a fresh one); returns the previous."""
-    global _registry
-    previous = _registry
-    _registry = registry if registry is not None else MetricsRegistry()
-    return previous

@@ -36,8 +36,8 @@ granting each task attempt its own scratch registry, so serial,
 ``--jobs N``, and faulted-then-retried runs persist byte-identical probe
 artifacts.
 
-The ambient registry (:func:`get_probes` / :func:`set_probes`) is
-disabled by default; a disabled registry costs one attribute check per
+The registry of the ambient :class:`repro.obs.Telemetry` bundle
+(``obs.telemetry().probes``) is disabled by default; a disabled registry costs one attribute check per
 tap site (<1 % overhead end to end).
 """
 
@@ -57,12 +57,10 @@ __all__ = [
     "ProbeRegistry",
     "ccdf_rows",
     "evm_rows",
-    "get_probes",
     "probe_preset",
     "render_ccdf_table",
     "render_evm_table",
     "render_spectrum_ascii",
-    "set_probes",
     "waterfall_rows",
 ]
 
@@ -886,20 +884,3 @@ def render_spectrum_ascii(
         if mask else " " * 9 + "# spectrum [dBr]"
     )
     return "\n".join(lines)
-
-
-# -- ambient registry ---------------------------------------------------
-_probes = ProbeRegistry()
-
-
-def get_probes() -> ProbeRegistry:
-    """The process-wide probe registry (disabled unless installed)."""
-    return _probes
-
-
-def set_probes(registry: Optional[ProbeRegistry]) -> ProbeRegistry:
-    """Install a registry (None for a disabled one); returns the previous."""
-    global _probes
-    previous = _probes
-    _probes = registry if registry is not None else ProbeRegistry()
-    return previous

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from repro.obs import live as _live
-from repro.obs import tracer as _tracer
+from repro.obs.bundle import telemetry
 
 __all__ = ["ProgressEvent", "ProgressListener", "as_listener", "printer"]
 
@@ -110,7 +110,7 @@ def as_listener(progress) -> Callable[[ProgressEvent], None]:
         )
 
     def emit(event: ProgressEvent) -> None:
-        active = _tracer.get_tracer()
+        active = telemetry().tracer
         if active.enabled:
             active.event(
                 "progress",

@@ -18,7 +18,8 @@ except the trace, so identical results re-store idempotently and any
 later edit of a run's files is detectable (``RunRecord.integrity_ok``).
 
 Producers either pass a store explicitly (``sweep.run(store=...)``) or
-run inside an *ambient* writer installed by the CLI's ``--store`` flag;
+run under the ``writer`` of the ambient :class:`repro.obs.Telemetry`
+bundle, which the CLI's ``--store`` flag installs;
 :func:`contribute` routes to whichever is active, so library code stays
 one call long.
 """
@@ -34,8 +35,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.obs.manifest import RunManifest, _config_snapshot, build_manifest
-from repro.obs.metrics import get_registry
-from repro.obs.tracer import get_tracer, read_jsonl
+from repro.obs.bundle import telemetry
+from repro.obs.tracer import read_jsonl
 
 __all__ = [
     "RunEntry",
@@ -44,8 +45,6 @@ __all__ = [
     "RunWriter",
     "config_key",
     "contribute",
-    "current_writer",
-    "set_current_writer",
 ]
 
 #: Sentinel meaning "use the process-wide active tracer/registry".
@@ -338,9 +337,9 @@ class RunWriter:
         if self.finalized is not None:
             return self.finalized
         if tracer is _ACTIVE:
-            tracer = get_tracer()
+            tracer = telemetry().tracer
         if registry is _ACTIVE:
-            registry = get_registry()
+            registry = telemetry().registry
         if manifest is None:
             manifest = build_manifest(
                 seed=self.seed, command=self.command, config=self.config
@@ -613,23 +612,6 @@ class RunStore:
         return removed
 
 
-# -- ambient writer ----------------------------------------------------
-_current: Optional[RunWriter] = None
-
-
-def current_writer() -> Optional[RunWriter]:
-    """The ambient run writer installed by the CLI's ``--store`` flag."""
-    return _current
-
-
-def set_current_writer(writer: Optional[RunWriter]) -> Optional[RunWriter]:
-    """Install ``writer`` as the ambient writer; returns the previous."""
-    global _current
-    previous = _current
-    _current = writer
-    return previous
-
-
 def contribute(
     store: Optional[RunStore],
     kind: str,
@@ -656,7 +638,7 @@ def contribute(
     if store is not None:
         writer = store.create(kind, name=name, seed=seed, config=config)
     else:
-        writer = _current if ambient else None
+        writer = telemetry().writer if ambient else None
         if writer is None:
             return None
     for table_name, text in (tables or {}).items():

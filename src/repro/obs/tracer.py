@@ -8,8 +8,8 @@ whole run can be dumped as one JSON-Lines file and replayed offline.
 
 Design constraints:
 
-* **Zero cost when disabled.**  The module-level default is a
-  :class:`NullTracer` whose :meth:`~NullTracer.span` hands back a shared
+* **Zero cost when disabled.**  The default tracer of the ambient
+  :class:`repro.obs.Telemetry` bundle is a :class:`NullTracer` whose :meth:`~NullTracer.span` hands back a shared
   no-op context manager — no allocation, no clock reads — so the hot
   loops of the dataflow engine and the testbench pay nothing when nobody
   is tracing.
@@ -20,6 +20,7 @@ Design constraints:
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
@@ -31,10 +32,6 @@ __all__ = [
     "EventRecord",
     "Tracer",
     "NullTracer",
-    "get_tracer",
-    "set_tracer",
-    "span",
-    "event",
     "read_jsonl",
 ]
 
@@ -177,14 +174,20 @@ class Tracer:
             self._id += 1
             return self._id
 
-    def _record(self, record) -> None:
+    def _record(self, *records) -> None:
         with self._lock:
-            self._records.append(record)
+            self._records.extend(records)
             if self._sink is not None:
-                json.dump(record.as_dict(), self._sink)
-                self._sink.write("\n")
+                for record in records:
+                    json.dump(record.as_dict(), self._sink)
+                    self._sink.write("\n")
 
     # -- public API ----------------------------------------------------
+    def current_span_id(self) -> Optional[int]:
+        """Id of this thread's innermost open span (None at top level)."""
+        stack = self._stack()
+        return stack[-1] if stack else None
+
     def span(self, name: str, **attributes) -> _ActiveSpan:
         """Open a nested span; use as a context manager."""
         return _ActiveSpan(self, name, attributes)
@@ -226,51 +229,46 @@ class Tracer:
 
     def absorb(
         self,
-        records: List[Dict[str, Any]],
+        records: List[Any],
         parent_id: Optional[int] = None,
     ) -> None:
-        """Graft record dicts from another tracer into this one.
+        """Graft records from another tracer into this one.
 
-        Used by the parallel executor to fold a worker process's trace
-        back into the parent's: span ids are remapped into this
-        tracer's id space (preserving the worker's internal nesting)
-        and the worker's top-level spans are re-parented under
-        ``parent_id`` (or the caller's active span).
+        Used by the parallel executor to fold a task attempt's scratch
+        trace back into the parent's: span ids are remapped into this
+        tracer's id space (preserving the task's internal nesting) and
+        its top-level spans are re-parented under ``parent_id`` (or the
+        caller's active span).
 
         Args:
-            records: ``as_dict()`` forms of the foreign records.
+            records: the foreign :class:`SpanRecord` /
+                :class:`EventRecord` objects (picklable, so a worker's
+                records cross the process boundary as they are).
             parent_id: span id to hang the foreign roots under; None
                 uses this thread's active span.
         """
         if parent_id is None:
-            stack = self._stack()
-            parent_id = stack[-1] if stack else None
-        id_map: Dict[int, int] = {}
-        for record in records:
-            if record.get("type") == "span":
-                id_map[record["span_id"]] = self._next_id()
-        for record in records:
-            kind = record.get("type")
-            attributes = dict(record.get("attributes", {}))
-            if kind == "span":
-                old_parent = record.get("parent_id")
-                self._record(SpanRecord(
-                    name=record["name"],
-                    span_id=id_map[record["span_id"]],
-                    parent_id=id_map.get(old_parent, parent_id),
-                    start_unix_s=record.get("start_unix_s", 0.0),
-                    start_monotonic_s=record.get("start_monotonic_s", 0.0),
-                    duration_s=record.get("duration_s", 0.0),
-                    attributes=attributes,
+            parent_id = self.current_span_id()
+        spans = [r.span_id for r in records if isinstance(r, SpanRecord)]
+        with self._lock:  # one block of fresh ids, in record order
+            first = self._id + 1
+            self._id += len(spans)
+        id_map: Dict[int, int] = dict(zip(spans, itertools.count(first)))
+        grafted = []
+        for r in records:
+            if isinstance(r, SpanRecord):
+                grafted.append(SpanRecord(
+                    r.name, id_map[r.span_id],
+                    id_map.get(r.parent_id, parent_id),
+                    r.start_unix_s, r.start_monotonic_s, r.duration_s,
+                    dict(r.attributes),
                 ))
-            elif kind == "event":
-                self._record(EventRecord(
-                    name=record["name"],
-                    span_id=id_map.get(record.get("span_id"), parent_id),
-                    unix_s=record.get("unix_s", 0.0),
-                    monotonic_s=record.get("monotonic_s", 0.0),
-                    attributes=attributes,
+            else:
+                grafted.append(EventRecord(
+                    r.name, id_map.get(r.span_id, parent_id),
+                    r.unix_s, r.monotonic_s, dict(r.attributes),
                 ))
+        self._record(*grafted)
 
     @property
     def records(self) -> List[Any]:
@@ -333,6 +331,9 @@ class NullTracer:
     def record_span(self, name: str, duration_s: float, **attributes):
         return None
 
+    def current_span_id(self) -> None:
+        return None
+
     def absorb(self, records, parent_id=None) -> None:
         return None
 
@@ -345,32 +346,6 @@ class NullTracer:
 
     def write_jsonl(self, path, header=None):
         raise RuntimeError("NullTracer has nothing to write")
-
-
-_active: Any = NullTracer()
-
-
-def get_tracer():
-    """The process-wide active tracer (a NullTracer by default)."""
-    return _active
-
-
-def set_tracer(tracer):
-    """Install ``tracer`` as the active tracer; returns the previous one."""
-    global _active
-    previous = _active
-    _active = tracer if tracer is not None else NullTracer()
-    return previous
-
-
-def span(name: str, **attributes):
-    """Open a span on the active tracer."""
-    return _active.span(name, **attributes)
-
-
-def event(name: str, **attributes) -> None:
-    """Emit an event on the active tracer."""
-    _active.event(name, **attributes)
 
 
 def read_jsonl(path) -> List[Dict[str, Any]]:

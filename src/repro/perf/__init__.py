@@ -35,36 +35,41 @@ Two more make the flow survive its own failures:
     stage/task/attempt coordinate) so the error paths above are
     themselves tested and CI-gated (``repro qa --faults``).
 
-The CLI's global ``--jobs N`` flag installs an ambient default
-(:func:`set_default_jobs`); library calls with ``jobs=None`` pick it
-up, and nested parallel regions automatically degrade to serial inside
-workers, so the outermost fan-out wins.  ``--retries``,
-``--task-timeout`` and ``--resume`` install ambient resilience defaults
-the same way.
+One value carries every execution setting:
+
+:mod:`repro.perf.options`
+    The frozen :class:`RunOptions` — ``jobs``, ``batch_size``,
+    ``memoize``, ``retries``, ``task_timeout``, ``resume`` and
+    ``fault_plan``, validated at construction — in one ambient slot:
+    :func:`run_options` reads it, :func:`options_scope` installs one
+    for a ``with`` block (the CLI builds it from its global flags), and
+    a library call's explicit keyword arguments override it through
+    :meth:`RunOptions.overlay`.  Pool workers receive the parent's
+    whole value, and nested parallel regions degrade to serial inside
+    workers (:func:`jobs_for` resolves a region's worker count and
+    clamps it to 1 when :func:`in_worker`), so the outermost fan-out
+    wins.
 """
 
 from repro.perf.faults import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    fault_plan,
-    get_fault_plan,
     parse_fault_spec,
-    set_fault_plan,
+)
+from repro.perf.options import (
+    RunOptions,
+    cpu_count,
+    options_scope,
+    run_options,
+    set_default_batch_size,
+    set_default_jobs,
 )
 from repro.perf.pool import (
     ParallelResult,
-    cpu_count,
-    get_default_batch_size,
-    get_default_jobs,
-    get_default_memoize,
     in_worker,
+    jobs_for,
     parallel_map,
-    resolve_batch_size,
-    resolve_jobs,
-    set_default_batch_size,
-    set_default_jobs,
-    set_default_memoize,
 )
 from repro.perf.rare import (
     WeightedBerMeasurement,
@@ -83,14 +88,6 @@ from repro.perf.resilience import (
     TaskError,
     TaskFailedError,
     TaskTimeoutError,
-    get_default_resume,
-    get_default_retries,
-    get_default_task_timeout,
-    resolve_retries,
-    resolve_task_timeout,
-    set_default_resume,
-    set_default_retries,
-    set_default_task_timeout,
     task_timeout_guard,
 )
 from repro.perf.seeding import (
@@ -113,6 +110,7 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "ParallelResult",
+    "RunOptions",
     "TaskError",
     "TaskFailedError",
     "TaskTimeoutError",
@@ -125,35 +123,21 @@ __all__ = [
     "cpu_count",
     "dimension_capped_boost_db",
     "ebn0_for_ber",
-    "fault_plan",
-    "get_default_batch_size",
-    "get_default_jobs",
-    "get_default_memoize",
-    "get_default_resume",
-    "get_default_retries",
-    "get_default_task_timeout",
-    "get_fault_plan",
     "in_worker",
     "is_incompatibility",
+    "jobs_for",
     "measure_uncoded_ber",
     "noise_log_weight",
+    "options_scope",
     "packet_noise_dimension",
     "parallel_map",
     "parse_fault_spec",
-    "resolve_batch_size",
-    "resolve_jobs",
-    "resolve_retries",
-    "resolve_task_timeout",
     "run_adaptive_sweep",
+    "run_options",
     "seed_entropy",
     "seed_fingerprint",
     "set_default_batch_size",
     "set_default_jobs",
-    "set_default_memoize",
-    "set_default_resume",
-    "set_default_retries",
-    "set_default_task_timeout",
-    "set_fault_plan",
     "spawn",
     "stream",
     "task_timeout_guard",

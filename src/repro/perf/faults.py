@@ -19,10 +19,11 @@ matching a (stage, task index, attempt) coordinate:
   ``index``'s result, simulating a crash mid-campaign with the
   consumed prefix already checkpointed.
 
-Plans install ambiently (:func:`set_fault_plan` / the CLI's
-``--inject-faults``) and ride into pool workers both by fork
-inheritance and through the task payload, so faults fire identically
-in serial, pooled, and fallback execution.
+A plan is the ``fault_plan`` field of the run's
+:class:`repro.perf.RunOptions` (the CLI's ``--inject-faults``, or
+``perf.options_scope(fault_plan=...)`` in tests); every task attempt
+receives it in its payload, so faults fire identically in serial,
+pooled, and fallback execution.
 """
 
 from __future__ import annotations
@@ -37,10 +38,7 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
-    "fault_plan",
-    "get_fault_plan",
     "parse_fault_spec",
-    "set_fault_plan",
 ]
 
 #: Actions a fault spec may request.
@@ -106,38 +104,6 @@ class FaultPlan:
             if s.action == "abort" and s.matches(stage, index, 0):
                 return s
         return None
-
-
-#: Ambient plan (None = no faults; the overwhelmingly common case).
-_plan: Optional[FaultPlan] = None
-
-
-def set_fault_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
-    """Install ``plan`` as the ambient fault plan; returns the previous."""
-    global _plan
-    previous = _plan
-    _plan = plan
-    return previous
-
-
-def get_fault_plan() -> Optional[FaultPlan]:
-    """The ambient fault plan (None unless a test/CLI installed one)."""
-    return _plan
-
-
-class fault_plan:
-    """Context manager installing a plan for a ``with`` block (tests)."""
-
-    def __init__(self, plan: Optional[FaultPlan]):
-        self._plan = plan
-        self._previous: Optional[FaultPlan] = None
-
-    def __enter__(self) -> Optional[FaultPlan]:
-        self._previous = set_fault_plan(self._plan)
-        return self._plan
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        set_fault_plan(self._previous)
 
 
 def apply_task_faults(

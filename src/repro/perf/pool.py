@@ -27,26 +27,29 @@ analyses.  Its contract:
   exit path — clean, stopped, failed, aborted — in-flight futures are
   cancelled or drained and the region's metrics and ``parallel:{stage}``
   span are still emitted.
-* **Observable.**  Each task becomes a span on the active tracer, the
-  workers' own spans and metrics are re-absorbed into the parent
-  tracer/registry (in task order, so merged metrics are deterministic),
-  and every region — pooled or the in-process fast path — reports a
+* **Observable, one attempt contract.**  Every task attempt — in a
+  pool worker or in process — runs under an empty scratch
+  :class:`repro.obs.Telemetry` bundle with no live monitor; the parent
+  merges its spans, metrics and probe taps in task order, and only
+  when the attempt succeeded (a failed attempt contributes its
+  wall-clock only), so the merged telemetry of a retried-then-clean
+  run matches a fault-free run, serial or pooled.  Pool regions wrap
+  themselves in a ``parallel:{stage}`` span with one ``{stage}:task``
+  child span per attempt that parents the worker's spans; the
+  in-process path hangs the task's spans under the active span, where
+  they would have opened inline.  Every region reports a
   ``parallel_efficiency`` gauge (``busy_time / (jobs * wall_time)``,
   1.0 in-process) labelled with both the *requested* and the
   *effective* job count, a ``parallel_tasks`` counter, and the
   resilience counters ``parallel_task_retries`` /
   ``parallel_task_failures`` / ``parallel_tasks_discarded`` /
   ``parallel_pool_broken``, so a ``repro profile`` comparison across
-  job counts lines up metric for metric.  Only true pool regions wrap
-  themselves in a ``parallel:{stage}`` span with per-task child spans;
-  the in-process path records the task function's own spans inline
-  instead.  A failed attempt's partial worker telemetry is *discarded*
-  (only its wall-clock is accounted), so the merged metrics of a
-  retried-then-clean run match a fault-free run exactly.
+  job counts lines up metric for metric.
 
-Nested parallelism is suppressed: a worker process resolves any
-``jobs`` request to 1, so the outermost parallel layer wins and inner
-layers run serially inside the workers.
+Nested parallelism is suppressed: in a worker process :func:`jobs_for`
+resolves any ``jobs`` request to 1, so the outermost parallel layer wins
+and inner layers run serially inside the workers.  Workers receive the parent's
+whole :class:`repro.perf.RunOptions` at start-up.
 """
 
 from __future__ import annotations
@@ -55,123 +58,27 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro import obs
+from repro.obs import bundle as _bundle
+from repro.obs.probes import ProbeConfig
 from repro.perf import faults as _faults
+from repro.perf import options as _options
 from repro.perf import resilience as _resilience
+from repro.perf.options import RunOptions, cpu_count
 from repro.perf.resilience import TaskError, TaskFailedError
 
 __all__ = [
     "ParallelResult",
     "cpu_count",
-    "get_default_batch_size",
-    "get_default_jobs",
-    "get_default_memoize",
     "in_worker",
+    "jobs_for",
     "parallel_map",
-    "resolve_batch_size",
-    "resolve_jobs",
-    "set_default_batch_size",
-    "set_default_jobs",
-    "set_default_memoize",
 ]
-
-#: Ambient job count installed by the CLI's ``--jobs`` flag (1 = serial).
-_default_jobs = 1
-
-#: Ambient PHY batch size installed by the CLI's ``--batch-size`` flag
-#: (1 = the classic per-packet chain).
-_default_batch_size = 1
-
-#: Ambient memoization default installed by the CLI's ``--memoize`` flag.
-_default_memoize = False
 
 #: Set in pool workers so nested fan-out degrades to serial.
 _in_worker = False
-
-
-def cpu_count() -> int:
-    """Usable CPU count (affinity-aware where the OS exposes it)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
-def set_default_jobs(jobs: Optional[int]) -> int:
-    """Install the ambient job count (the CLI's ``--jobs``).
-
-    Args:
-        jobs: worker count; 0 or None means "auto" (one per CPU).
-
-    Returns:
-        The previous default.
-    """
-    global _default_jobs
-    previous = _default_jobs
-    _default_jobs = resolve_jobs(jobs if jobs is not None else 0)
-    return previous
-
-
-def get_default_jobs() -> int:
-    """The ambient job count (1 unless ``--jobs``/``set_default_jobs``)."""
-    return _default_jobs
-
-
-def set_default_batch_size(batch_size: Optional[int]) -> int:
-    """Install the ambient PHY batch size (the CLI's ``--batch-size``).
-
-    Args:
-        batch_size: packets per stacked PHY-chain evaluation; None
-            means 1 (each packet its own batch).
-
-    Returns:
-        The previous default.
-    """
-    global _default_batch_size
-    previous = _default_batch_size
-    _default_batch_size = resolve_batch_size(
-        batch_size if batch_size is not None else 1
-    )
-    return previous
-
-
-def get_default_batch_size() -> int:
-    """The ambient PHY batch size (1 unless ``--batch-size`` was given)."""
-    return _default_batch_size
-
-
-def resolve_batch_size(batch_size: Optional[int]) -> int:
-    """Turn a ``batch_size=`` argument into a concrete batch size.
-
-    ``None`` defers to the ambient default; explicit values must be
-    positive.  Batching is a pure throughput knob — results are
-    bit-identical at every batch size.
-    """
-    if batch_size is None:
-        return _default_batch_size
-    batch_size = int(batch_size)
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    return batch_size
-
-
-def set_default_memoize(memoize: bool) -> bool:
-    """Install the ambient memoization default (the CLI's ``--memoize``).
-
-    Returns:
-        The previous default.
-    """
-    global _default_memoize
-    previous = _default_memoize
-    _default_memoize = bool(memoize)
-    return previous
-
-
-def get_default_memoize() -> bool:
-    """The ambient memoization default (False unless ``--memoize``)."""
-    return _default_memoize
 
 
 def in_worker() -> bool:
@@ -179,23 +86,15 @@ def in_worker() -> bool:
     return _in_worker
 
 
-def resolve_jobs(jobs: Optional[int]) -> int:
-    """Turn a ``jobs=`` argument into a concrete worker count.
+def jobs_for(jobs: Optional[int] = None) -> int:
+    """The worker count a parallel region runs with.
 
-    ``None`` defers to the ambient default, ``0`` means one worker per
-    CPU, and anything is clamped to 1 inside a pool worker so parallel
-    layers never nest.
+    ``jobs`` (None = the active ``--jobs``) resolved through
+    :meth:`RunOptions.overlay`, clamped to 1 in a pool worker — a worker
+    never nests a pool, so the outermost fan-out wins.
     """
-    if _in_worker:
-        return 1
-    if jobs is None:
-        return _default_jobs
-    jobs = int(jobs)
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
-    if jobs == 0:
-        jobs = cpu_count()
-    return max(1, jobs)
+    resolved = _options.run_options().overlay(jobs=jobs).jobs
+    return 1 if _in_worker else resolved
 
 
 class ParallelResult(List[Any]):
@@ -237,46 +136,59 @@ class ParallelResult(List[Any]):
         self.pool_broken: bool = False
 
 
-def _init_worker(batch_size: int = 1) -> None:
-    """Pool initializer: mark the process so nested fan-out is serial.
+def _init_worker(
+    options: RunOptions, tracing: bool, probe_config: ProbeConfig
+) -> None:
+    """Pool initializer: install the parent's run context in the worker.
 
-    A forked worker also inherits the parent's ambient live monitor;
-    it is disabled here so events emitted inside tasks stay invisible
-    to the parent-side flight recorder — the in-process fast path
-    suppresses them symmetrically via ``obs.live_suspended``, which is
-    what keeps serial and pooled flight records identical.  The ambient
-    PHY batch size is forwarded explicitly so spawn-based platforms
-    match fork-based ones.
+    Marks the process so nested fan-out is serial and installs the
+    parent's whole :class:`RunOptions`, so a worker runs nested regions
+    with the parent's settings whatever the start method.  The telemetry
+    a forked worker inherits is replaced by an empty bundle of the
+    parent's shape — its tracer on or off, its probe config — with no
+    live monitor, so events emitted inside tasks stay invisible to the
+    parent-side flight recorder.  The run writer is kept for tasks that
+    read the store; they defer writes to the parent via
+    :func:`in_worker`.
     """
-    global _in_worker, _default_batch_size
+    global _in_worker
     _in_worker = True
-    _default_batch_size = batch_size
-    obs.set_live_monitor(None)
+    _options._install(options)
+    _bundle._install(obs.Telemetry(
+        tracer=obs.Tracer() if tracing else None,
+        probes=obs.ProbeRegistry(probe_config),
+        writer=obs.telemetry().writer,
+    ))
 
 
-def _worker_call(payload):
-    """Run one task attempt in a worker under capturable instrumentation.
+class _Reply(NamedTuple):
+    """What one task attempt hands back to the parent."""
 
-    Returns ``(result, duration_s, pid, metrics_snapshot, span_dicts,
-    probe_snapshot)``; ``result`` is a :class:`TaskError` when the
-    attempt raised (fault injection, task exception, or timeout), in
-    which case the metrics snapshot, spans and probe state are from the
-    *failed* attempt and the parent discards them to keep merged
-    telemetry identical to a clean run.
+    result: Any  # the task's result, or a TaskError when it raised
+    attempt: int
+    duration_s: float
+    worker_pid: int
+    snapshot: Optional[tuple]  # scratch telemetry; None when it failed
+
+
+def _attempt(payload) -> _Reply:
+    """Run one task attempt under a scratch telemetry bundle.
+
+    The one attempt path of every region: a pool worker runs it on the
+    parent's payload and the in-process path calls it directly.  The
+    task runs under :meth:`repro.obs.Telemetry.spawn` of the active
+    bundle, so nothing it records reaches the parent until the parent
+    merges the snapshot — in task order, and only for a successful
+    attempt, which keeps the merged telemetry of a retried-then-clean
+    run identical to a fault-free one.  Faults fire inside the timeout
+    guard, so an injected delay is subject to the same budget as real
+    task work.
     """
-    (fn, task, index, attempt, stage, want_spans, timeout_s, plan,
-     probe_cfg) = payload
-    registry = obs.MetricsRegistry()
-    tracer = obs.Tracer() if want_spans else None
-    probes = obs.ProbeRegistry(probe_cfg) if probe_cfg is not None else None
-    previous_registry = obs.set_registry(registry)
-    previous_tracer = obs.set_tracer(tracer) if want_spans else None
-    previous_probes = obs.set_probes(probes) if probes is not None else None
+    fn, task, index, attempt, stage, timeout_s, plan = payload
+    scratch = obs.telemetry().spawn()
     start = time.perf_counter()
-    try:
+    with obs.telemetry_scope(scratch):
         try:
-            # Faults run inside the guard so an injected delay is
-            # subject to the same timeout as real task work.
             with _resilience.task_timeout_guard(timeout_s):
                 _faults.apply_task_faults(
                     plan, stage, index, attempt, _in_worker
@@ -284,32 +196,59 @@ def _worker_call(payload):
                 result = fn(task)
         except Exception as exc:  # structured capture, never raw
             result = _resilience.task_error_from(exc, index, attempt)
-    finally:
-        obs.set_registry(previous_registry)
-        if want_spans:
-            obs.set_tracer(previous_tracer)
-        if probes is not None:
-            obs.set_probes(previous_probes)
     duration = time.perf_counter() - start
-    spans = (
-        [r.as_dict() for r in tracer.records] if tracer is not None else None
+    failed = isinstance(result, TaskError)
+    return _Reply(result, attempt, duration, os.getpid(),
+                  None if failed else scratch.snapshot())
+
+
+def _consume_attempt(
+    reply: _Reply,
+    index: int,
+    stage: str,
+    parent: "obs.Telemetry",
+    out: "ParallelResult",
+    pooled: bool,
+) -> None:
+    """Account one attempt in the parent, in task order (both paths).
+
+    Adds its wall-clock to ``busy_s`` and merges its scratch telemetry
+    when it succeeded; a pooled attempt is also recorded as a
+    ``{stage}:task`` span that parents the worker's spans, while the
+    in-process path hangs the task's spans under the active span, where
+    they would have opened inline.
+    """
+    result = reply.result
+    failed = isinstance(result, TaskError)
+    out.busy_s += reply.duration_s
+    parent_id = None
+    if pooled:
+        record = parent.tracer.record_span(
+            f"{stage}:task", reply.duration_s,
+            index=index, worker_pid=reply.worker_pid, jobs=out.jobs,
+            **({"error": result.exc_type, "attempt": result.attempt}
+               if failed else {}),
+        )
+        parent_id = record.span_id if record is not None else None
+    if reply.snapshot is not None:
+        parent.merge(reply.snapshot, parent_id=parent_id)
+    obs.live_note_task(
+        stage, index, reply.duration_s, reply.worker_pid, ok=not failed,
+        attempt=reply.attempt,
     )
-    probe_snap = probes.snapshot() if probes is not None else None
-    return (result, duration, os.getpid(), registry.snapshot(), spans,
-            probe_snap)
+    if failed:
+        _record_task_failure(result, stage, parent)
 
 
-def _run_attempts_inprocess(
+def _run_inprocess(
     fn: Callable[[Any], Any],
     task: Any,
     index: int,
     stage: str,
-    retries: int,
-    timeout_s: Optional[float],
+    options: RunOptions,
     reseed: Optional[Callable[[Any, int], Any]],
-    plan,
+    parent: "obs.Telemetry",
     out: "ParallelResult",
-    first_attempt: int = 0,
 ) -> Any:
     """Run one task in-process with the full retry/timeout/fault stack.
 
@@ -317,63 +256,28 @@ def _run_attempts_inprocess(
     :class:`TaskError` once retries are exhausted.  Used by the serial
     fast path and by the broken-pool fallback.
     """
-    error: Optional[TaskError] = None
-    ambient_probes = obs.get_probes()
-    for attempt in range(first_attempt, retries + 1):
+    for attempt in range(options.retries + 1):
         attempt_task = (
             task if (reseed is None or attempt == 0) else reseed(task, attempt)
         )
-        # Each attempt accumulates probe taps into its own scratch
-        # registry, merged into the ambient one only on success — the
-        # same snapshot/merge tree the pooled path builds, so serial,
-        # pooled and faulted-then-retried probe state is bit-identical,
-        # and a failed attempt's taps are discarded like its metrics.
-        scratch = ambient_probes.spawn() if ambient_probes.enabled else None
-        if scratch is not None:
-            obs.set_probes(scratch)
-        t0 = time.perf_counter()
-        try:
-            with _resilience.task_timeout_guard(timeout_s):
-                _faults.apply_task_faults(
-                    plan, stage, index, attempt, _in_worker
-                )
-                # Suspended so events the task emits internally stay
-                # out of the live monitor, matching pooled workers
-                # (whose monitor _init_worker disables).
-                with obs.live_suspended():
-                    result = fn(attempt_task)
-            duration = time.perf_counter() - t0
-            out.busy_s += duration
-            if scratch is not None:
-                ambient_probes.merge(scratch.snapshot())
-            obs.live_note_task(
-                stage, index, duration, os.getpid(), ok=True,
-                attempt=attempt,
-            )
-            return result
-        except Exception as exc:  # structured capture, never raw
-            duration = time.perf_counter() - t0
-            out.busy_s += duration
-            error = _resilience.task_error_from(exc, index, attempt)
-            _record_task_failure(error, stage)
-            obs.live_note_task(
-                stage, index, duration, os.getpid(), ok=False,
-                attempt=attempt,
-            )
-            if attempt < retries:
-                out.retries += 1
-        finally:
-            if scratch is not None:
-                obs.set_probes(ambient_probes)
-    return error
+        reply = _attempt((fn, attempt_task, index, attempt, stage,
+                          options.task_timeout, options.fault_plan))
+        _consume_attempt(reply, index, stage, parent, out, pooled=False)
+        if not isinstance(reply.result, TaskError):
+            break
+        if attempt < options.retries:
+            out.retries += 1
+    return reply.result
 
 
-def _record_task_failure(error: TaskError, stage: str) -> None:
+def _record_task_failure(
+    error: TaskError, stage: str, parent: "obs.Telemetry"
+) -> None:
     """Emit the failure's telemetry: a counter tick and a trace event."""
-    obs.get_registry().counter(
+    parent.registry.counter(
         "parallel_task_errors", "task attempts that raised"
     ).inc(stage=stage, exc_type=error.exc_type)
-    obs.get_tracer().event(
+    parent.tracer.event(
         "task_error",
         stage=stage,
         index=error.index,
@@ -384,9 +288,11 @@ def _record_task_failure(error: TaskError, stage: str) -> None:
     )
 
 
-def _emit_region_metrics(out: "ParallelResult", stage: str) -> None:
+def _emit_region_metrics(
+    out: "ParallelResult", stage: str, parent: "obs.Telemetry"
+) -> None:
     """Report a region's scaling + resilience telemetry (every path)."""
-    registry = obs.get_registry()
+    registry = parent.registry
     registry.gauge(
         "parallel_efficiency",
         "busy / (jobs * wall) of a parallel region",
@@ -427,10 +333,9 @@ def _drain_futures(
         if future.cancel():
             continue
         try:
-            result, duration = future.result()[:2]
+            out.busy_s += future.result().duration_s
         except Exception:  # broken pool / interpreter teardown
             continue
-        out.busy_s += duration
         out.discarded += 1
 
 
@@ -523,15 +428,16 @@ def parallel_map(
     """
     if on_error not in ("raise", "capture"):
         raise ValueError(f"unknown on_error mode {on_error!r}")
-    jobs = resolve_jobs(jobs)
-    retries = _resilience.resolve_retries(retries)
-    task_timeout = _resilience.resolve_task_timeout(task_timeout)
-    plan = _faults.get_fault_plan()
+    options = _options.run_options().overlay(
+        jobs=jobs, retries=retries, task_timeout=task_timeout
+    )
+    jobs = jobs_for(options.jobs)
+    plan = options.fault_plan
+    parent = obs.telemetry()
     out = ParallelResult()
     out.jobs_requested = jobs
     out.jobs = jobs
     tasks = list(tasks)
-    tracer = obs.get_tracer()
     start = time.perf_counter()
 
     if jobs == 1 or len(tasks) <= 1:
@@ -540,21 +446,17 @@ def parallel_map(
         try:
             for i, task in enumerate(tasks):
                 _faults.check_abort(plan, stage, i)
-                result = _run_attempts_inprocess(
-                    fn, task, i, stage, retries, task_timeout, reseed,
-                    plan, out,
+                result = _run_inprocess(
+                    fn, task, i, stage, options, reseed, parent, out
                 )
                 if _finish_task(out, i, result, on_result, stop, on_error):
                     break
         finally:
             out.wall_s = time.perf_counter() - start
             out.efficiency = 1.0
-            _emit_region_metrics(out, stage)
+            _emit_region_metrics(out, stage, parent)
         return out
 
-    ambient_probes = obs.get_probes()
-    probe_cfg = ambient_probes.config if ambient_probes.enabled else None
-    want_spans = bool(tracer.enabled)
     window = max(jobs, window if window is not None else 2 * jobs)
     obs.live_note_region(stage, len(tasks), jobs)
     try:
@@ -563,7 +465,8 @@ def parallel_map(
                 max_workers=jobs,
                 mp_context=_pool_context(),
                 initializer=_init_worker,
-                initargs=(_default_batch_size,),
+                initargs=(options, parent.tracer.enabled,
+                          parent.probes.config),
             ) as executor:
                 futures: Dict[int, Any] = {}
                 next_submit = 0
@@ -575,9 +478,9 @@ def parallel_map(
                         else reseed(tasks[index], attempt)
                     )
                     futures[index] = executor.submit(
-                        _worker_call,
+                        _attempt,
                         (fn, attempt_task, index, attempt, stage,
-                         want_spans, task_timeout, plan, probe_cfg),
+                         options.task_timeout, plan),
                     )
 
                 def submit_up_to(limit):
@@ -594,43 +497,16 @@ def parallel_map(
                         if i not in futures:
                             break
                         _faults.check_abort(plan, stage, i)
-                        (result, duration, pid, metrics, spans,
-                         probe_snap) = futures.pop(i).result()
-                        out.busy_s += duration
-                        failed = isinstance(result, TaskError)
-                        if not failed:
-                            # Failed attempts contribute wall-clock
-                            # only: their partial telemetry is dropped
-                            # so merged metrics match a clean run.
-                            obs.get_registry().merge(metrics)
-                            if probe_snap is not None:
-                                ambient_probes.merge(probe_snap)
-                        record = tracer.record_span(
-                            f"{stage}:task", duration,
-                            index=i, worker_pid=pid, jobs=jobs,
-                            **(
-                                {"error": result.exc_type,
-                                 "attempt": result.attempt}
-                                if failed else {}
-                            ),
+                        reply = futures.pop(i).result()
+                        _consume_attempt(
+                            reply, i, stage, parent, out, pooled=True
                         )
-                        if spans and not failed:
-                            tracer.absorb(
-                                spans,
-                                parent_id=(
-                                    record.span_id if record else None
-                                ),
-                            )
-                        obs.live_note_task(
-                            stage, i, duration, pid, ok=not failed,
-                            attempt=result.attempt if failed else 0,
-                        )
-                        if failed:
-                            _record_task_failure(result, stage)
-                            if result.attempt < retries:
-                                out.retries += 1
-                                submit(i, result.attempt + 1)
-                                continue
+                        result = reply.result
+                        if (isinstance(result, TaskError)
+                                and result.attempt < options.retries):
+                            out.retries += 1
+                            submit(i, result.attempt + 1)
+                            continue
                         if _finish_task(
                             out, i, result, on_result, stop, on_error
                         ):
@@ -653,9 +529,9 @@ def parallel_map(
                     out.pool_broken = True
                     for i in range(broken_at, len(tasks)):
                         _faults.check_abort(plan, stage, i)
-                        result = _run_attempts_inprocess(
-                            fn, tasks[i], i, stage, retries, task_timeout,
-                            reseed, plan, out,
+                        result = _run_inprocess(
+                            fn, tasks[i], i, stage, options, reseed,
+                            parent, out,
                         )
                         if _finish_task(
                             out, i, result, on_result, stop, on_error
@@ -666,5 +542,5 @@ def parallel_map(
         out.efficiency = (
             out.busy_s / (out.jobs * out.wall_s) if out.wall_s > 0 else 1.0
         )
-        _emit_region_metrics(out, stage)
+        _emit_region_metrics(out, stage, parent)
     return out

@@ -673,7 +673,7 @@ def run_adaptive_sweep(
         return SweepResult(sweep.parameter, [])
     if total_packets < n_points:
         raise ValueError("total_packets must cover at least 1 per point")
-    batch = perf.resolve_batch_size(batch_size)
+    batch = perf.run_options().overlay(batch_size=batch_size).batch_size
     point_seeds = perf.spawn(sweep.seed, n_points)
     configs = [sweep._configured(v) for v in sweep.values]
     plans = [sweep._point_estimator(config) for config in configs]

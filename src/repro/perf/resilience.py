@@ -21,8 +21,9 @@ of ``future.result()``:
   hands the :class:`TaskError` to the caller as the task's result
   (``on_error="capture"``).
 
-The CLI's ``--retries`` / ``--task-timeout`` / ``--resume`` flags
-install ambient defaults here, mirroring ``--jobs`` / ``--memoize``.
+The retry budget and the timeout come from the run's
+:class:`repro.perf.RunOptions` (the CLI's ``--retries`` /
+``--task-timeout``) unless a call passes its own.
 """
 
 from __future__ import annotations
@@ -39,26 +40,9 @@ __all__ = [
     "TaskError",
     "TaskFailedError",
     "TaskTimeoutError",
-    "get_default_resume",
-    "get_default_retries",
-    "get_default_task_timeout",
-    "resolve_retries",
-    "resolve_task_timeout",
-    "set_default_resume",
-    "set_default_retries",
-    "set_default_task_timeout",
     "task_error_from",
     "task_timeout_guard",
 ]
-
-#: Ambient retry count installed by the CLI's ``--retries`` flag.
-_default_retries = 0
-
-#: Ambient per-task timeout installed by ``--task-timeout`` (seconds).
-_default_task_timeout: Optional[float] = None
-
-#: Ambient resume default installed by the CLI's ``--resume`` flag.
-_default_resume = False
 
 
 class TaskTimeoutError(Exception):
@@ -166,73 +150,3 @@ def task_timeout_guard(timeout_s: Optional[float]):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-
-
-# -- ambient defaults (installed by the CLI) ----------------------------
-def set_default_retries(retries: int) -> int:
-    """Install the ambient retry count; returns the previous value."""
-    global _default_retries
-    previous = _default_retries
-    _default_retries = _validate_retries(retries)
-    return previous
-
-
-def get_default_retries() -> int:
-    """The ambient retry count (0 unless ``--retries``)."""
-    return _default_retries
-
-
-def set_default_task_timeout(timeout_s: Optional[float]) -> Optional[float]:
-    """Install the ambient per-task timeout; returns the previous value."""
-    global _default_task_timeout
-    previous = _default_task_timeout
-    _default_task_timeout = _validate_timeout(timeout_s)
-    return previous
-
-
-def get_default_task_timeout() -> Optional[float]:
-    """The ambient per-task timeout (None unless ``--task-timeout``)."""
-    return _default_task_timeout
-
-
-def set_default_resume(resume: bool) -> bool:
-    """Install the ambient resume default; returns the previous value."""
-    global _default_resume
-    previous = _default_resume
-    _default_resume = bool(resume)
-    return previous
-
-
-def get_default_resume() -> bool:
-    """The ambient resume default (False unless ``--resume``)."""
-    return _default_resume
-
-
-def _validate_retries(retries: int) -> int:
-    retries = int(retries)
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    return retries
-
-
-def _validate_timeout(timeout_s: Optional[float]) -> Optional[float]:
-    if timeout_s is None:
-        return None
-    timeout_s = float(timeout_s)
-    if timeout_s <= 0:
-        raise ValueError(f"task timeout must be > 0, got {timeout_s}")
-    return timeout_s
-
-
-def resolve_retries(retries: Optional[int]) -> int:
-    """Turn a ``retries=`` argument into a concrete count (None=ambient)."""
-    if retries is None:
-        return _default_retries
-    return _validate_retries(retries)
-
-
-def resolve_task_timeout(timeout_s: Optional[float]) -> Optional[float]:
-    """Turn a ``task_timeout=`` argument into seconds (None=ambient)."""
-    if timeout_s is None:
-        return _default_task_timeout
-    return _validate_timeout(timeout_s)

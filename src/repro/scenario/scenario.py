@@ -275,7 +275,7 @@ class Scenario:
             return wanted
         from repro import obs
 
-        probes = obs.get_probes()
+        probes = obs.telemetry().probes
         out = wanted.samples.copy()
         references = {
             convention: reference_power_watts(wanted.samples, convention)

@@ -97,39 +97,47 @@ class TestMeasureBerBatchSizes:
     def test_kpis_match_serial(self, rate_mbps, batch):
         cfg = TestbenchConfig(rate_mbps=rate_mbps, snr_db=8.0, psdu_bytes=36)
         bench = WlanTestbench(cfg)
-        ref = bench.measure_ber(
-            n_packets=self.N_PACKETS, seed=9, batch_size=1
-        )
-        got = bench.measure_ber(
-            n_packets=self.N_PACKETS, seed=9, batch_size=batch
-        )
+        with perf.options_scope(batch_size=1):
+            ref = bench.measure_ber(
+                n_packets=self.N_PACKETS, seed=9
+            )
+        with perf.options_scope(batch_size=batch):
+            got = bench.measure_ber(
+                n_packets=self.N_PACKETS, seed=9
+            )
         assert _kpis(got) == _kpis(ref)
 
     def test_ambient_default_batch_size(self):
         cfg = TestbenchConfig(rate_mbps=24, snr_db=8.0, psdu_bytes=36)
         bench = WlanTestbench(cfg)
-        ref = bench.measure_ber(n_packets=8, seed=3, batch_size=1)
+        with perf.options_scope(batch_size=1):
+            ref = bench.measure_ber(n_packets=8, seed=3)
         previous = perf.set_default_batch_size(4)
         try:
-            assert perf.get_default_batch_size() == 4
+            assert perf.run_options().batch_size == 4
             got = bench.measure_ber(n_packets=8, seed=3)
         finally:
             perf.set_default_batch_size(previous)
         assert _kpis(got) == _kpis(ref)
 
     def test_resolve_batch_size_validation(self):
-        assert perf.resolve_batch_size(None) == perf.get_default_batch_size()
-        assert perf.resolve_batch_size(5) == 5
+        options = perf.run_options()
+        assert options.overlay(batch_size=None).batch_size == (
+            options.batch_size
+        )
+        assert options.overlay(batch_size=5).batch_size == 5
         with pytest.raises(ValueError):
-            perf.resolve_batch_size(0)
+            options.overlay(batch_size=0)
         with pytest.raises(ValueError):
             perf.set_default_batch_size(0)
 
     def test_parallel_jobs_match_serial(self):
         cfg = TestbenchConfig(rate_mbps=24, snr_db=8.0, psdu_bytes=36)
         bench = WlanTestbench(cfg)
-        ref = bench.measure_ber(n_packets=8, seed=3, batch_size=1, jobs=1)
-        got = bench.measure_ber(n_packets=8, seed=3, batch_size=4, jobs=2)
+        with perf.options_scope(batch_size=1):
+            ref = bench.measure_ber(n_packets=8, seed=3, jobs=1)
+        with perf.options_scope(batch_size=4):
+            got = bench.measure_ber(n_packets=8, seed=3, jobs=2)
         assert _kpis(got) == _kpis(ref)
 
     def test_early_stop_matches_at_pinned_chunk_size(self):
@@ -137,14 +145,16 @@ class TestMeasureBerBatchSizes:
         the batched engine must stop at the same packet count."""
         cfg = TestbenchConfig(rate_mbps=54, snr_db=3.0, psdu_bytes=36)
         bench = WlanTestbench(cfg)
-        ref = bench.measure_ber(
-            n_packets=24, seed=11, batch_size=1, chunk_size=4,
-            max_bit_errors=50,
-        )
-        got = bench.measure_ber(
-            n_packets=24, seed=11, batch_size=4, chunk_size=4,
-            max_bit_errors=50,
-        )
+        with perf.options_scope(batch_size=1):
+            ref = bench.measure_ber(
+                n_packets=24, seed=11, chunk_size=4,
+                max_bit_errors=50,
+            )
+        with perf.options_scope(batch_size=4):
+            got = bench.measure_ber(
+                n_packets=24, seed=11, chunk_size=4,
+                max_bit_errors=50,
+            )
         assert ref.packets + ref.packets_lost < 24  # stop actually fired
         assert _kpis(got) == _kpis(ref)
 
@@ -156,13 +166,11 @@ class TestProbeSummaries:
         cfg = TestbenchConfig(rate_mbps=24, snr_db=15.0, psdu_bytes=36)
         bench = WlanTestbench(cfg)
         registry = ProbeRegistry(probe_preset("full"))
-        previous = obs.set_probes(registry)
-        try:
-            bench.measure_ber(
-                n_packets=8, seed=21, batch_size=batch, chunk_size=chunk
-            )
-        finally:
-            obs.set_probes(previous)
+        with obs.telemetry_scope(probes=registry):
+            with perf.options_scope(batch_size=batch):
+                bench.measure_ber(
+                    n_packets=8, seed=21, chunk_size=chunk
+                )
         return registry.export()
 
     def test_batch_probe_export_identical(self):

@@ -324,4 +324,4 @@ class TestRunStoreCli:
         from repro import obs
 
         self._store_fig5(tmp_path / "runs", capsys)
-        assert obs.current_writer() is None
+        assert obs.telemetry().writer is None

@@ -219,11 +219,8 @@ class TestInstrumentation:
         from repro import obs
 
         tracer = obs.Tracer()
-        previous = obs.set_tracer(tracer)
-        try:
+        with obs.telemetry_scope(tracer=tracer):
             DataflowEngine(mode="compiled").run(_simple_schematic(32))
-        finally:
-            obs.set_tracer(previous)
         block_spans = tracer.spans("block:")
         assert {s.name for s in block_spans} == {
             "block:src", "block:double", "block:offset",
@@ -239,13 +236,10 @@ class TestInstrumentation:
         from repro import obs
 
         tracer = obs.Tracer()
-        previous = obs.set_tracer(tracer)
-        try:
+        with obs.telemetry_scope(tracer=tracer):
             DataflowEngine(mode="interpreted", frame_size=8).run(
                 _simple_schematic(64)
             )
-        finally:
-            obs.set_tracer(previous)
         double_spans = tracer.spans("block:double")
         assert len(double_spans) == 1
         assert double_spans[0].attributes["calls"] == 8

@@ -32,7 +32,7 @@ from repro.obs.live import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressEvent, printer
-from repro.perf import fault_plan, parse_fault_spec
+from repro.perf import parse_fault_spec
 
 
 # -- helpers ------------------------------------------------------------
@@ -74,9 +74,8 @@ def _small_sweep(seed=7):
 def ambient_monitor():
     """A fresh monitor installed as the ambient one."""
     monitor = LiveMonitor(clock=FakeClock())
-    previous = obs.set_live_monitor(monitor)
-    yield monitor
-    obs.set_live_monitor(previous)
+    with obs.telemetry_scope(monitor=monitor):
+        yield monitor
 
 
 # -- convergence classification -----------------------------------------
@@ -253,17 +252,21 @@ class TestPrinterZeroTotal:
 # -- ambient monitor gating ---------------------------------------------
 class TestAmbientGating:
     def test_observe_event_noop_without_monitor(self):
-        assert obs.get_live_monitor() is None
+        assert obs.telemetry().monitor is None
         obs.live_note_task("s", 0, 1.0, 1)  # must not raise
 
     def test_set_returns_previous(self, ambient_monitor):
         other = LiveMonitor(clock=FakeClock())
-        assert obs.set_live_monitor(other) is ambient_monitor
-        assert obs.set_live_monitor(ambient_monitor) is other
+        with obs.telemetry_scope(monitor=other) as bundle:
+            assert bundle.monitor is other
+            assert obs.telemetry().monitor is other
+        assert obs.telemetry().monitor is ambient_monitor
 
     def test_suspended_suppresses_and_nests(self, ambient_monitor):
-        with obs.live_suspended():
-            with obs.live_suspended():
+        """A scratch bundle (what every task attempt runs under) has no
+        monitor, so it suppresses live capture, nested too."""
+        with obs.telemetry_scope(obs.telemetry().spawn()):
+            with obs.telemetry_scope(obs.telemetry().spawn()):
                 obs.live_note_task("s", 0, 1.0, 1)
             obs.live_note_task("s", 1, 1.0, 1)
         assert not ambient_monitor.has_data()
@@ -275,11 +278,8 @@ class TestAmbientGating:
 class TestFlightDeterminism:
     def _run_sweep(self, jobs):
         monitor = LiveMonitor(clock=FakeClock())
-        previous = obs.set_live_monitor(monitor)
-        try:
+        with obs.telemetry_scope(monitor=monitor):
             result = _small_sweep().run(jobs=jobs)
-        finally:
-            obs.set_live_monitor(previous)
         return result, monitor
 
     def test_serial_and_parallel_flights_equal(self):
@@ -298,14 +298,10 @@ class TestFlightDeterminism:
         # failure tally differs (mirroring the probe-merge discard rule).
         _, clean = self._run_sweep(jobs=jobs)
         monitor = LiveMonitor(clock=FakeClock())
-        previous = obs.set_live_monitor(monitor)
-        previous_retries = perf.set_default_retries(1)
-        try:
-            with fault_plan(parse_fault_spec("sweep/fail:1@0")):
-                result = _small_sweep().run(jobs=jobs)
-        finally:
-            perf.set_default_retries(previous_retries)
-            obs.set_live_monitor(previous)
+        with obs.telemetry_scope(monitor=monitor), perf.options_scope(
+            retries=1, fault_plan=parse_fault_spec("sweep/fail:1@0")
+        ):
+            result = _small_sweep().run(jobs=jobs)
         assert list(result.bers) == list(self._run_sweep(jobs=jobs)[0].bers)
         assert monitor.flight_records() == clean.flight_records()
         faulted = monitor.flight_summary()

@@ -17,9 +17,8 @@ from repro.obs.tracer import NullTracer, Tracer, read_jsonl
 def tracer():
     """A recording tracer installed as the process tracer."""
     t = Tracer()
-    previous = obs.set_tracer(t)
-    yield t
-    obs.set_tracer(previous)
+    with obs.telemetry_scope(tracer=t):
+        yield t
 
 
 class TestSpans:

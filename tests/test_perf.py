@@ -24,11 +24,11 @@ def _square(x):
 
 
 def _jobs_seen_inside_worker(_):
-    return perf.resolve_jobs(8)
+    return perf.parallel_map(_square, [1, 2], jobs=8).jobs
 
 
 def _observe_some_metrics(x):
-    registry = obs.get_registry()
+    registry = obs.telemetry().registry
     registry.counter("task_count").inc()
     registry.histogram("task_value").observe(float(x))
     with obs.span("inner:work", x=x):
@@ -131,28 +131,25 @@ class TestParallelMap:
         assert list(inner) == [1, 1]  # workers refuse to nest pools
 
     def test_jobs_zero_means_cpu_count(self):
-        assert perf.resolve_jobs(0) == perf.cpu_count()
+        assert perf.RunOptions(jobs=0).jobs == perf.cpu_count()
 
     def test_negative_jobs_rejected(self):
         with pytest.raises(ValueError):
-            perf.resolve_jobs(-1)
+            perf.RunOptions(jobs=-1)
 
     def test_ambient_default(self):
         previous = perf.set_default_jobs(3)
         try:
-            assert perf.resolve_jobs(None) == 3
+            assert perf.run_options().overlay(jobs=None).jobs == 3
         finally:
             perf.set_default_jobs(previous)
 
     def test_worker_metrics_merged_into_parent(self):
         registry = obs.MetricsRegistry()
-        previous = obs.set_registry(registry)
-        try:
+        with obs.telemetry_scope(registry=registry):
             perf.parallel_map(
                 _observe_some_metrics, range(6), jobs=2, stage="merge"
             )
-        finally:
-            obs.set_registry(previous)
         assert registry.counter("task_count").value() == 6.0
         assert sorted(registry.histogram("task_value").values()) == [
             0.0, 1.0, 2.0, 3.0, 4.0, 5.0
@@ -163,13 +160,10 @@ class TestParallelMap:
 
     def test_worker_spans_absorbed_under_task_spans(self):
         tracer = obs.Tracer()
-        previous = obs.set_tracer(tracer)
-        try:
+        with obs.telemetry_scope(tracer=tracer):
             perf.parallel_map(
                 _observe_some_metrics, range(4), jobs=2, stage="absorb"
             )
-        finally:
-            obs.set_tracer(previous)
         tasks = tracer.spans("absorb:task")
         inner = tracer.spans("inner:work")
         assert len(tasks) == 4
@@ -181,11 +175,8 @@ class TestParallelMap:
         # A jobs=1 run must produce the same metric set as jobs=2 of
         # the same workload, so profiles line up across job counts.
         registry = obs.MetricsRegistry()
-        previous = obs.set_registry(registry)
-        try:
+        with obs.telemetry_scope(registry=registry):
             perf.parallel_map(_square, range(3), jobs=1, stage="quiet")
-        finally:
-            obs.set_registry(previous)
         assert registry.gauge("parallel_efficiency").value(
             stage="quiet", jobs=1, requested=1
         ) == 1.0
@@ -216,10 +207,7 @@ class TestTelemetryTransfer:
                 pass
         parent = obs.Tracer()
         anchor = parent.record_span("anchor", 0.0)
-        parent.absorb(
-            [r.as_dict() for r in worker.records],
-            parent_id=anchor.span_id,
-        )
+        parent.absorb(worker.records, parent_id=anchor.span_id)
         spans = {s.name: s for s in parent.spans()}
         assert spans["outer"].parent_id == anchor.span_id
         assert spans["inner"].parent_id == spans["outer"].span_id
@@ -431,16 +419,12 @@ class TestMemoization:
 
         store = RunStore(tmp_path / "runs")
         writer = store.create("sweep", name="ambient", seed=4)
-        previous_writer = obs.set_current_writer(writer)
-        previous_memoize = perf.set_default_memoize(True)
-        try:
+        with obs.telemetry_scope(writer=writer), \
+                perf.options_scope(memoize=True):
             first = build().run_all(jobs=2)
             assert len(store.list_runs(kind="point")) == 4
 
             second = build().run_all(jobs=2)
-        finally:
-            perf.set_default_memoize(previous_memoize)
-            obs.set_current_writer(previous_writer)
         assert len(store.list_runs(kind="point")) == 4
         assert np.array_equal(first["a"].bers, second["a"].bers)
         assert np.array_equal(first["b"].bers, second["b"].bers)
@@ -452,11 +436,8 @@ class TestMemoization:
 
     def test_ambient_memoize_default(self, tmp_path):
         store = RunStore(tmp_path / "runs")
-        previous = perf.set_default_memoize(True)
-        try:
+        with perf.options_scope(memoize=True):
             self._sweep().run(store=store)
-        finally:
-            perf.set_default_memoize(previous)
         assert len(store.list_runs(kind="point")) == 2
 
 

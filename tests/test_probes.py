@@ -33,9 +33,8 @@ def _registry(preset="basic"):
 def ambient_probes():
     """Install a fresh enabled registry; restore the previous one."""
     registry = _registry("full")
-    previous = obs.set_probes(registry)
-    yield registry
-    obs.set_probes(previous)
+    with obs.telemetry_scope(probes=registry):
+        yield registry
 
 
 class TestPresets:
@@ -216,11 +215,8 @@ class TestDeterminism:
         off = bench.measure_ber(n_packets=n, seed=5, chunk_size=2)
 
         registry = _registry("full")
-        previous = obs.set_probes(registry)
-        try:
+        with obs.telemetry_scope(probes=registry):
             on = bench.measure_ber(n_packets=n, seed=5, chunk_size=2)
-        finally:
-            obs.set_probes(previous)
         assert on.ber == off.ber
         assert on.per == off.per
         assert registry.has_data()
@@ -230,11 +226,8 @@ class TestDeterminism:
 
         def run(jobs):
             registry = _registry("full")
-            previous = obs.set_probes(registry)
-            try:
+            with obs.telemetry_scope(probes=registry):
                 bench.measure_ber(n_packets=n, seed=5, jobs=jobs, chunk_size=2)
-            finally:
-                obs.set_probes(previous)
             return json.dumps(registry.export(), sort_keys=True)
 
         assert run(1) == run(2)
@@ -244,17 +237,10 @@ class TestDeterminism:
 
         def run(spec):
             registry = _registry("full")
-            previous = obs.set_probes(registry)
-            previous_retries = perf.set_default_retries(2)
-            try:
-                if spec:
-                    with perf.fault_plan(perf.parse_fault_spec(spec)):
-                        bench.measure_ber(n_packets=n, seed=5, chunk_size=2)
-                else:
-                    bench.measure_ber(n_packets=n, seed=5, chunk_size=2)
-            finally:
-                perf.set_default_retries(previous_retries)
-                obs.set_probes(previous)
+            plan = perf.parse_fault_spec(spec) if spec else None
+            with obs.telemetry_scope(probes=registry), \
+                    perf.options_scope(retries=2, fault_plan=plan):
+                bench.measure_ber(n_packets=n, seed=5, chunk_size=2)
             return json.dumps(registry.export(), sort_keys=True)
 
         assert run(None) == run("ber/fail:1@0")

@@ -10,6 +10,7 @@ jobs / batch / chunk scheduling, like every other harness in the repo).
 import numpy as np
 import pytest
 
+from repro import perf
 from repro.core.metrics import binomial_confidence
 from repro.core.testbench import TestbenchConfig, WlanTestbench
 from repro.perf import rare
@@ -286,12 +287,15 @@ class TestFullChainImportanceSampling:
         bench = WlanTestbench(_genie_config())
         boost = auto_boost_db(bench.config)
         kwargs = dict(n_packets=16, seed=2, estimator="is", boost_db=boost)
-        serial = bench.measure_ber(jobs=1, batch_size=1, chunk_size=1,
-                                   **kwargs)
-        pooled = bench.measure_ber(jobs=2, batch_size=1, chunk_size=1,
-                                   **kwargs)
-        batched = bench.measure_ber(jobs=1, batch_size=8, chunk_size=1,
-                                    **kwargs)
+        with perf.options_scope(batch_size=1):
+            serial = bench.measure_ber(jobs=1, chunk_size=1,
+                                       **kwargs)
+        with perf.options_scope(batch_size=1):
+            pooled = bench.measure_ber(jobs=2, chunk_size=1,
+                                       **kwargs)
+        with perf.options_scope(batch_size=8):
+            batched = bench.measure_ber(jobs=1, chunk_size=1,
+                                        **kwargs)
         assert serial == pooled
         assert serial == batched
 

@@ -11,7 +11,7 @@ normalization, Jakes-Doppler trajectories).
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import obs, perf
 from repro.channel.fading import (
     FadingChannel,
     exponential_power_delay_profile,
@@ -585,10 +585,10 @@ class TestScenarioBench:
         case = vectors.ADJACENT_16DB_CASE
         bench = vectors.adjacent_16db_bench()
         for batch in (1, 4):
-            mixed = bench.measure_ber(
-                n_packets=case["n_packets"], seed=case["seed"],
-                batch_size=batch,
-            )
+            with perf.options_scope(batch_size=batch):
+                mixed = bench.measure_ber(
+                    n_packets=case["n_packets"], seed=case["seed"],
+                )
             assert mixed.ber > 0  # the interferer must actually bite
             assert (mixed.bit_errors, mixed.bits_total) == (
                 vectors.GOLDEN_ADJACENT_16DB
@@ -617,18 +617,15 @@ class TestScenarioBench:
             WlanTestbench(cfg)
 
     def test_per_emitter_probe_taps(self):
-        previous = obs.set_probes(
-            obs.ProbeRegistry(obs.probe_preset("basic"))
-        )
-        try:
+        with obs.telemetry_scope(
+            probes=obs.ProbeRegistry(obs.probe_preset("basic"))
+        ):
             cfg = TestbenchConfig(
                 rate_mbps=6, psdu_bytes=20, snr_db=12.0,
                 scenario=Scenario.preset("hostile-coexistence"),
             )
             WlanTestbench(cfg).measure_ber(n_packets=1, seed=0)
-            stages = obs.get_probes().export()["stages"]
-        finally:
-            obs.set_probes(previous)
+            stages = obs.telemetry().probes.export()["stages"]
         for label in ("emitter:wlan+1", "emitter:bluetooth",
                       "emitter:microwave"):
             assert label in stages
@@ -639,13 +636,10 @@ class TestScenarioBench:
             scenario=Scenario.preset("hostile-coexistence"),
         )
         bare = WlanTestbench(cfg).measure_ber(n_packets=2, seed=5)
-        previous = obs.set_probes(
-            obs.ProbeRegistry(obs.probe_preset("basic"))
-        )
-        try:
+        with obs.telemetry_scope(
+            probes=obs.ProbeRegistry(obs.probe_preset("basic"))
+        ):
             probed = WlanTestbench(cfg).measure_ber(n_packets=2, seed=5)
-        finally:
-            obs.set_probes(previous)
         assert bare.bit_errors == probed.bit_errors
         assert bare.bits_total == probed.bits_total
 

@@ -6,12 +6,8 @@ import pytest
 
 from repro.core.sweep import ParameterSweep
 from repro.core.testbench import TestbenchConfig
-from repro.obs.store import (
-    RunStore,
-    contribute,
-    current_writer,
-    set_current_writer,
-)
+from repro import obs
+from repro.obs.store import RunStore, contribute
 
 
 def _write_run(store, kind="demo", name="demo", ber=1e-3):
@@ -133,17 +129,14 @@ class TestContribute:
     def test_ambient_writer_collects_prefixed_kpis(self, tmp_path):
         store = RunStore(tmp_path)
         writer = store.create(kind="cli", name="session")
-        set_current_writer(writer)
-        try:
+        with obs.telemetry_scope(writer=writer):
             result = contribute(None, kind="sweep", name="s",
                                 kpis={"ber": 0.1},
                                 tables={"s": "tbl"})
-        finally:
-            set_current_writer(None)
         assert result is None  # ambient contribution does not finalize
         assert writer.kpis == {"s.ber": 0.1}
         assert writer.tables == {"s": "tbl"}
-        assert current_writer() is None
+        assert obs.telemetry().writer is None
 
     def test_no_store_no_ambient_is_a_noop(self):
         assert contribute(None, kind="sweep", name="s",
