@@ -9,10 +9,10 @@ simulation.
 
 import numpy as np
 
-from repro.core.budget import frontend_cascade
 from repro.core.reporting import render_table
 from repro.core.sensitivity import find_sensitivity
 from repro.flow.blackbox import extract_blackbox
+from repro.rf.cascade import CascadeAnalysis
 from repro.rf.frontend import FrontendConfig
 
 #: Approximate SNR requirements of the coded 802.11a modes [dB].
@@ -23,7 +23,7 @@ def _analysis():
     from dataclasses import replace
 
     cfg = FrontendConfig()
-    cascade = frontend_cascade(cfg)
+    cascade = CascadeAnalysis(cfg.lineup())
     # Measure the NF of the actual chain: the black-box extraction does a
     # bandwidth-aware (ENB) noise measurement with the AGC pinned.
     quiet_cfg = replace(cfg, dc_offset_dbm=None, flicker_power_dbm=None)

@@ -7,9 +7,9 @@ plus the RF link-budget view of the chosen design.
 Run:  python examples/architecture_comparison.py
 """
 
-from repro.core.budget import frontend_cascade
 from repro.core.reporting import render_table
 from repro.core.testbench import TestbenchConfig, WlanTestbench
+from repro.rf.cascade import CascadeAnalysis
 from repro.rf.frontend import FrontendConfig
 from repro.rf.zeroif import ZeroIfConfig
 
@@ -29,7 +29,7 @@ def ber(frontend, level, rate=54, seed=9):
 
 def main():
     print("=== link budget of the double-conversion front end ===\n")
-    cascade = frontend_cascade(FrontendConfig())
+    cascade = CascadeAnalysis(FrontendConfig().lineup())
     print(cascade.as_table())
     print(f"\ncascade: gain {cascade.total_gain_db:+.1f} dB, "
           f"NF {cascade.total_nf_db:.2f} dB, "

@@ -553,40 +553,6 @@ class ParameterSweep:
             self._persist(result, store, run_name)
         return result
 
-    def run_adaptive(
-        self,
-        total_packets: int,
-        initial_packets: Optional[int] = None,
-        block: Optional[int] = None,
-        jobs: Optional[int] = None,
-        progress: Optional[Callable] = None,
-        store=None,
-        run_name: Optional[str] = None,
-        z: float = 1.96,
-        batch_size: Optional[int] = None,
-    ) -> SweepResult:
-        """Run with a shared packet budget allocated where the CI is widest.
-
-        Delegates to :func:`repro.perf.rare.run_adaptive_sweep`: after a
-        uniform warm-up, each round's packets go to the point whose
-        relative confidence width (Wilson for MC points, the weighted
-        interval for IS points) is currently largest.
-        """
-        from repro.perf import rare as _rare
-
-        return _rare.run_adaptive_sweep(
-            self,
-            total_packets,
-            initial_packets=initial_packets,
-            block=block,
-            jobs=jobs,
-            progress=progress,
-            store=store,
-            run_name=run_name,
-            z=z,
-            batch_size=batch_size,
-        )
-
     def _persist(self, result: SweepResult, store, run_name: Optional[str]):
         """Contribute the sweep's artefacts to the store in scope.
 

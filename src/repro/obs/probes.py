@@ -380,52 +380,27 @@ class ProbeRegistry:
     def note_budget(self, frontend_config: Any) -> None:
         """Record the cascade (Friis) budget predictions for the RF taps.
 
-        Derives per-stage cumulative gain and noise figure from the
-        front-end configuration via :mod:`repro.rf.cascade`, so the
-        waterfall can print measured power next to the paper-style
-        line-up budget.  First call wins (the config is constant within
-        a run); unknown architectures are simply skipped.
+        Runs :class:`repro.rf.cascade.CascadeAnalysis` over the front-end
+        configuration's ``lineup()``, so the waterfall can print measured
+        power next to the paper-style line-up budget.  Each tap
+        (``rf:lna``, ``rf:mixer1``, ...) takes the cumulative figures
+        after the last line-up stage carrying its name; a mixer's
+        ``_nl`` stage closes that mixer's tap.  First call wins (the
+        config is constant within a run).
         """
         if not self.config.enabled:
             return
         with self._lock:
             if self._budget:
                 return
-        from repro.rf.cascade import (
-            StageSpec,
-            cascade_gain_db,
-            friis_noise_figure_db,
-        )
-        from repro.rf.nonlinearity import iip3_from_p1db
+        from repro.rf.cascade import CascadeAnalysis
 
-        cfg = frontend_config
-        if hasattr(cfg, "mixer1_gain_db"):  # double conversion
-            specs = [
-                StageSpec("lna", cfg.lna_gain_db, cfg.lna_nf_db,
-                          iip3_from_p1db(cfg.lna_p1db_dbm)),
-                StageSpec("mixer1", cfg.mixer1_gain_db, cfg.mixer1_nf_db),
-                StageSpec("mixer1_nl", 0.0, iip3_dbm=cfg.mixer1_iip3_dbm),
-                StageSpec("mixer2", cfg.mixer2_gain_db, cfg.mixer2_nf_db),
-                StageSpec("mixer2_nl", 0.0, iip3_dbm=cfg.mixer2_iip3_dbm),
-            ]
-            prefixes = {"input": 0, "lna": 1, "mixer1": 3, "mixer2": 5}
-        elif hasattr(cfg, "mixer_gain_db"):  # zero-IF
-            specs = [
-                StageSpec("lna", cfg.lna_gain_db, cfg.lna_nf_db,
-                          iip3_from_p1db(cfg.lna_p1db_dbm)),
-                StageSpec("mixer", cfg.mixer_gain_db, cfg.mixer_nf_db),
-                StageSpec("mixer_nl", 0.0, iip3_dbm=cfg.mixer_iip3_dbm),
-            ]
-            prefixes = {"input": 0, "lna": 1, "mixer": 3}
-        else:
-            return
-        budget = {
-            name: {
-                "gain_db": cascade_gain_db(specs[:cut]),
-                "nf_db": friis_noise_figure_db(specs[:cut]),
+        budget = {"input": {"gain_db": 0.0, "nf_db": 0.0}}
+        for row in CascadeAnalysis(frontend_config.lineup()).rows():
+            budget[row.name.removesuffix("_nl")] = {
+                "gain_db": row.cumulative_gain_db,
+                "nf_db": row.cumulative_nf_db,
             }
-            for name, cut in prefixes.items()
-        }
         with self._lock:
             if not self._budget:
                 self._budget = budget

@@ -295,18 +295,13 @@ def check_cascade_characterization(
     same configuration.
     """
     from repro.flow.rfsim import characterize
-    from repro.rf.cascade import (
-        active_stage_cascade,
-        cascade_gain_db,
-        cascade_iip3_dbm,
-        cascade_input_p1db_dbm,
-        friis_noise_figure_db,
-    )
+    from repro.rf.cascade import CascadeAnalysis, active_stage_cascade
     from repro.rf.frontend import DoubleConversionReceiver, FrontendConfig
 
     config = FrontendConfig(dc_offset_dbm=None, flicker_power_dbm=None)
     receiver = DoubleConversionReceiver(config)
-    cascade, specs = active_stage_cascade(receiver)
+    cascade, lineup = active_stage_cascade(receiver)
+    budget = CascadeAnalysis(lineup)
     result = characterize(
         cascade, sample_rate=config.sample_rate_in, seed=seed, jobs=jobs
     )
@@ -314,25 +309,25 @@ def check_cascade_characterization(
         (
             "cascade_gain_db",
             result.compression.small_signal_gain_db,
-            cascade_gain_db(specs),
+            budget.total_gain_db,
             CASCADE_TOLERANCES_DB["gain"],
         ),
         (
             "cascade_nf_db",
             result.noise.noise_figure_db,
-            friis_noise_figure_db(specs),
+            budget.total_nf_db,
             CASCADE_TOLERANCES_DB["nf"],
         ),
         (
             "cascade_iip3_dbm",
             result.intermod.iip3_dbm,
-            cascade_iip3_dbm(specs),
+            budget.total_iip3_dbm,
             CASCADE_TOLERANCES_DB["iip3"],
         ),
         (
             "cascade_p1db_dbm",
             result.compression.input_p1db_dbm,
-            cascade_input_p1db_dbm(specs),
+            budget.input_p1db_dbm,
             CASCADE_TOLERANCES_DB["p1db"],
         ),
     ]

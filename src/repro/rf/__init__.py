@@ -38,12 +38,9 @@ from repro.rf.pa import PowerAmplifier
 from repro.rf.zeroif import ZeroIfConfig, ZeroIfReceiver
 from repro.rf.cascade import (
     BlockCascade,
+    CascadeAnalysis,
     StageSpec,
     active_stage_cascade,
-    cascade_gain_db,
-    cascade_iip3_dbm,
-    cascade_input_p1db_dbm,
-    friis_noise_figure_db,
 )
 from repro.rf.frontend import (
     DoubleConversionReceiver,
@@ -81,12 +78,9 @@ __all__ = [
     "ZeroIfConfig",
     "ZeroIfReceiver",
     "BlockCascade",
+    "CascadeAnalysis",
     "StageSpec",
     "active_stage_cascade",
-    "cascade_gain_db",
-    "cascade_iip3_dbm",
-    "cascade_input_p1db_dbm",
-    "friis_noise_figure_db",
     "DoubleConversionReceiver",
     "FrontendConfig",
     "ideal_frontend_config",

@@ -30,7 +30,8 @@ Three ready-made configurations mirror the paper's model libraries:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -38,18 +39,54 @@ import numpy as np
 from repro.dsp.params import CARRIER_FREQUENCY, SAMPLE_RATE
 from repro.rf.adc import Adc
 from repro.rf.amplifier import AgcAmplifier, Amplifier
+from repro.rf.cascade import StageSpec
 from repro.rf.filters import (
     AnalogFilter,
     butterworth_highpass,
     chebyshev_lowpass,
 )
 from repro.rf.mixer import Mixer, QuadratureMixer
-from repro.rf.nonlinearity import CubicNonlinearity
+from repro.rf.nonlinearity import CubicNonlinearity, iip3_from_p1db
 from repro.rf.oscillator import LocalOscillator
 from repro.rf.signal import Signal
 
 #: The paper's LO frequency: half the 5.2 GHz RF carrier.
 LO_FREQUENCY = 2.6e9
+
+#: LNA behavioral models: SPW-style cubic and Spectre-style Rapp.
+LNA_MODELS = ("cubic", "rapp")
+
+
+def validate_frontend_config(cfg) -> None:
+    """The construction-time rule shared by the receiver configurations.
+
+    Rejects, with a :class:`ValueError` naming the field, a NaN in any
+    float field, an unknown ``lna_model``, a filter order (``*_order``)
+    below 1, ``adc_bits`` below 1 and an input rate that is not an
+    integer multiple of 20 MHz.  ``inf`` (an ideal image rejection) and
+    ``None`` (a disabled impairment, an ideal ADC) stay valid.
+    """
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and math.isnan(value):
+            raise ValueError(f"{f.name} must not be NaN")
+        if f.name == "lna_model" and value not in LNA_MODELS:
+            raise ValueError(
+                f"unknown LNA model {value!r}; expected one of {LNA_MODELS}"
+            )
+        if f.name.endswith("_order") and value < 1:
+            raise ValueError(f"{f.name} must be at least 1, got {value}")
+    if cfg.adc_bits is not None and cfg.adc_bits < 1:
+        raise ValueError(f"adc_bits must be at least 1, got {cfg.adc_bits}")
+    ratio = cfg.sample_rate_in / SAMPLE_RATE
+    if (
+        not math.isfinite(ratio)
+        or ratio < 1
+        or abs(ratio - round(ratio)) > 1e-9
+    ):
+        raise ValueError(
+            "sample_rate_in must be an integer multiple of 20 MHz"
+        )
 
 
 @dataclass
@@ -131,16 +168,29 @@ class FrontendConfig:
     noise_enabled: bool = True
 
     def __post_init__(self):
-        ratio = self.sample_rate_in / SAMPLE_RATE
-        if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
-            raise ValueError(
-                "sample_rate_in must be an integer multiple of 20 MHz"
-            )
+        validate_frontend_config(self)
 
     @property
     def decimation(self) -> int:
         """ADC decimation factor down to the 20 MHz DSP rate."""
         return int(round(self.sample_rate_in / SAMPLE_RATE))
+
+    def lineup(self) -> Tuple[StageSpec, ...]:
+        """The active stages in the order the receiver applies them.
+
+        Each mixer's cubic nonlinearity follows its conversion gain as a
+        zero-gain stage of its own, exactly as
+        :class:`DoubleConversionReceiver` runs it.  Filters, AGC and ADC
+        are left out (unity in-band gain, negligible noise).
+        """
+        return (
+            StageSpec("lna", self.lna_gain_db, self.lna_nf_db,
+                      iip3_from_p1db(self.lna_p1db_dbm)),
+            StageSpec("mixer1", self.mixer1_gain_db, self.mixer1_nf_db),
+            StageSpec("mixer1_nl", 0.0, iip3_dbm=self.mixer1_iip3_dbm),
+            StageSpec("mixer2", self.mixer2_gain_db, self.mixer2_nf_db),
+            StageSpec("mixer2_nl", 0.0, iip3_dbm=self.mixer2_iip3_dbm),
+        )
 
 
 def ideal_frontend_config(**overrides) -> FrontendConfig:
@@ -185,8 +235,6 @@ class DoubleConversionReceiver:
                 cfg.lna_gain_db, cfg.lna_nf_db, cfg.lna_p1db_dbm
             )
         elif cfg.lna_model == "rapp":
-            from repro.rf.nonlinearity import iip3_from_p1db
-
             self.lna = Amplifier.spectre_style(
                 cfg.lna_gain_db,
                 cfg.lna_nf_db,

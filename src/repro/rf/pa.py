@@ -68,7 +68,3 @@ class PowerAmplifier:
                 self.drive_level_dbm(output_backoff_db)
             )
         return work.with_samples(self._model.apply(work.samples))
-
-    def output_power_dbm(self, signal: Signal) -> float:
-        """Average output power for ``signal`` without re-leveling."""
-        return self.process(signal).power_dbm()

@@ -17,7 +17,7 @@ compared head-to-head in the system test bench.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -25,8 +25,11 @@ import numpy as np
 from repro.dsp.params import CARRIER_FREQUENCY, SAMPLE_RATE
 from repro.rf.adc import Adc
 from repro.rf.amplifier import AgcAmplifier, Amplifier
+from repro.rf.cascade import StageSpec
 from repro.rf.filters import butterworth_highpass, chebyshev_lowpass
+from repro.rf.frontend import validate_frontend_config
 from repro.rf.mixer import QuadratureMixer
+from repro.rf.nonlinearity import CubicNonlinearity, iip3_from_p1db
 from repro.rf.oscillator import LocalOscillator
 from repro.rf.signal import Signal
 
@@ -91,16 +94,26 @@ class ZeroIfConfig:
     noise_enabled: bool = True
 
     def __post_init__(self):
-        ratio = self.sample_rate_in / SAMPLE_RATE
-        if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
-            raise ValueError(
-                "sample_rate_in must be an integer multiple of 20 MHz"
-            )
+        validate_frontend_config(self)
 
     @property
     def decimation(self) -> int:
         """ADC decimation down to the 20 MHz DSP rate."""
         return int(round(self.sample_rate_in / SAMPLE_RATE))
+
+    def lineup(self) -> Tuple[StageSpec, ...]:
+        """The active stages in the order the receiver applies them.
+
+        The quadrature mixer's cubic nonlinearity follows its conversion
+        gain as a zero-gain stage, exactly as :class:`ZeroIfReceiver`
+        runs it.
+        """
+        return (
+            StageSpec("lna", self.lna_gain_db, self.lna_nf_db,
+                      iip3_from_p1db(self.lna_p1db_dbm)),
+            StageSpec("mixer", self.mixer_gain_db, self.mixer_nf_db),
+            StageSpec("mixer_nl", 0.0, iip3_dbm=self.mixer_iip3_dbm),
+        )
 
 
 class ZeroIfReceiver:
@@ -132,8 +145,6 @@ class ZeroIfReceiver:
             phase_imbalance_deg=cfg.iq_phase_deg,
             noise_enabled=cfg.noise_enabled,
         )
-        from repro.rf.nonlinearity import CubicNonlinearity
-
         self._mixer_nl = CubicNonlinearity(
             gain_db=0.0, iip3_dbm=cfg.mixer_iip3_dbm
         )

@@ -14,6 +14,7 @@ from repro.rf.frontend import (
     spw_library_config,
 )
 from repro.rf.signal import Signal, dbm_to_watts
+from repro.rf.zeroif import ZeroIfConfig
 
 
 def _rf_tone(power_dbm, f=1e6, fs=80e6, n=16384):
@@ -52,6 +53,58 @@ class TestConfig:
     def test_unknown_lna_model(self):
         with pytest.raises(ValueError):
             DoubleConversionReceiver(FrontendConfig(lna_model="tanh"))
+
+
+class TestConfigValidation:
+    """Both receiver configurations share one construction-time rule."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: FrontendConfig(lna_gain_db=np.nan),
+                         id="frontend-nan-gain"),
+            pytest.param(lambda: FrontendConfig(mixer2_nf_db=np.nan),
+                         id="frontend-nan-nf"),
+            pytest.param(lambda: FrontendConfig(dc_offset_dbm=np.nan),
+                         id="frontend-nan-optional"),
+            pytest.param(lambda: FrontendConfig(lna_model="foo"),
+                         id="frontend-lna-model"),
+            pytest.param(lambda: FrontendConfig(lpf_order=-3),
+                         id="frontend-lpf-order"),
+            pytest.param(lambda: FrontendConfig(hpf_order=0),
+                         id="frontend-hpf-order"),
+            pytest.param(lambda: FrontendConfig(adc_bits=0),
+                         id="frontend-adc-bits"),
+            pytest.param(lambda: FrontendConfig(sample_rate_in=np.inf),
+                         id="frontend-inf-rate"),
+            pytest.param(lambda: ZeroIfConfig(mixer_nf_db=np.nan),
+                         id="zeroif-nan-nf"),
+            pytest.param(lambda: ZeroIfConfig(dc_block_order=0),
+                         id="zeroif-dc-block-order"),
+            pytest.param(lambda: ZeroIfConfig(lpf_order=0),
+                         id="zeroif-lpf-order"),
+            pytest.param(lambda: ZeroIfConfig(adc_bits=0),
+                         id="zeroif-adc-bits"),
+        ],
+    )
+    def test_rejected_at_construction(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_nan_fails_through_replace(self):
+        with pytest.raises(ValueError, match="lna_nf_db"):
+            replace(FrontendConfig(), lna_nf_db=float("nan"))
+
+    def test_inf_and_none_stay_valid(self):
+        cfg = FrontendConfig(
+            image_rejection_db=np.inf,
+            dc_offset_dbm=None,
+            flicker_power_dbm=None,
+            lo_phase_noise_dbc_hz=None,
+            adc_bits=None,
+        )
+        assert cfg.image_rejection_db == np.inf
+        assert ZeroIfConfig(dc_offset_dbm=None, adc_bits=None).adc_bits is None
 
 
 class TestChain:

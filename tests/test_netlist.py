@@ -103,6 +103,14 @@ class TestParser:
         with pytest.raises(NetlistError):
             netlist_to_config(text)
 
+    def test_nan_value_rejected(self):
+        # Parses as a float, but the config rule refuses a NaN gain.
+        text = frontend_to_netlist(FrontendConfig()).replace(
+            ".gain_db(16)", ".gain_db(nan)"
+        )
+        with pytest.raises(NetlistError, match="lna_gain_db"):
+            netlist_to_config(text)
+
 
 class TestCompiler:
     def test_ams_target_warns_about_noise(self):

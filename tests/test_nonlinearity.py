@@ -7,10 +7,10 @@ from repro.rf.nonlinearity import (
     CubicNonlinearity,
     P1DB_IIP3_OFFSET_DB,
     RappNonlinearity,
-    effective_iip3_cascade_dbm,
     iip3_from_p1db,
     p1db_from_iip3,
 )
+from repro.rf.cascade import CascadeAnalysis, StageSpec
 from repro.rf.signal import dbm_to_watts
 
 
@@ -109,18 +109,29 @@ class TestRappNonlinearity:
         assert not y.any()
 
 
+def _cascade_iip3_dbm(stages):
+    """Cascade IIP3 of ``(gain_db, iip3_dbm)`` stages in chain order."""
+    return CascadeAnalysis(
+        [StageSpec(f"s{i}", g, iip3_dbm=i3) for i, (g, i3) in enumerate(stages)]
+    ).total_iip3_dbm
+
+
 class TestCascadeIip3:
     def test_single_stage(self):
-        assert effective_iip3_cascade_dbm([(10.0, 0.0)]) == pytest.approx(0.0)
+        assert _cascade_iip3_dbm([(10.0, 0.0)]) == pytest.approx(0.0)
 
     def test_second_stage_dominates_with_gain(self):
         # 20 dB gain in front of a 10 dBm-IIP3 stage: cascade ~ -10 dBm.
-        total = effective_iip3_cascade_dbm([(20.0, 100.0), (0.0, 10.0)])
+        total = _cascade_iip3_dbm([(20.0, 100.0), (0.0, 10.0)])
         assert total == pytest.approx(-10.0, abs=0.1)
 
     def test_cascade_below_best_stage(self):
-        total = effective_iip3_cascade_dbm([(10.0, 0.0), (10.0, 10.0)])
+        total = _cascade_iip3_dbm([(10.0, 0.0), (10.0, 10.0)])
         assert total < 0.0
 
     def test_empty_cascade(self):
-        assert effective_iip3_cascade_dbm([]) == np.inf
+        # A chain without a finite intercept is linear: infinite IIP3.
+        # An empty line-up is not a cascade at all and is rejected.
+        assert _cascade_iip3_dbm([(10.0, np.inf)]) == np.inf
+        with pytest.raises(ValueError):
+            _cascade_iip3_dbm([])

@@ -23,6 +23,8 @@ from repro.obs.probes import (
     render_spectrum_ascii,
     waterfall_rows,
 )
+from repro.rf.frontend import FrontendConfig
+from repro.rf.zeroif import ZeroIfConfig
 
 
 def _registry(preset="basic"):
@@ -125,10 +127,31 @@ class TestTapSummaries:
         assert reg2.kpis()["probe.mask_margin_db[tx]"] < 0.0
         assert reg2.kpis()["probe.mask_pass[tx]"] == 0.0
 
-    def test_budget_waterfall_matches_friis(self):
-        from repro.rf.frontend import FrontendConfig
-
-        cfg = FrontendConfig()
+    @pytest.mark.parametrize(
+        "cfg,pinned",
+        [
+            pytest.param(
+                FrontendConfig(),
+                {
+                    "input": (0.0, 0.0),
+                    "lna": (16.0, 3.0),
+                    "mixer1": (24.0, 3.3639362042054004),
+                    "mixer2": (30.0, 3.4553199545091258),
+                },
+                id="double-conversion",
+            ),
+            pytest.param(
+                ZeroIfConfig(),
+                {
+                    "input": (0.0, 0.0),
+                    "lna": (16.0, 3.0),
+                    "mixer": (26.0, 3.7442765989546207),
+                },
+                id="zero-if",
+            ),
+        ],
+    )
+    def test_budget_waterfall_matches_friis(self, cfg, pinned):
         reg = _registry()
         reg.note_budget(cfg)
         budget = reg.export()["budget"]
@@ -139,9 +162,12 @@ class TestTapSummaries:
         assert budget["lna"]["gain_db"] == pytest.approx(cfg.lna_gain_db)
         assert budget["lna"]["nf_db"] == pytest.approx(cfg.lna_nf_db)
         # NF can only grow down the cascade.
-        assert budget["mixer2"]["nf_db"] >= budget["mixer1"]["nf_db"] >= (
-            budget["lna"]["nf_db"]
-        )
+        nfs = [budget[tap]["nf_db"] for tap in pinned]
+        assert nfs == sorted(nfs)
+        # One key per RF tap, values bit-identical to the pinned budget.
+        assert {
+            tap: (v["gain_db"], v["nf_db"]) for tap, v in budget.items()
+        } == pinned
 
 
 class TestSnapshotMerge:

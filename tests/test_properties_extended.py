@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.budget import CascadeAnalysis, Stage
 from repro.dsp.mac import MacFrame, parse_mpdu
 from repro.flow.netlist import (
     NetlistError,
@@ -12,6 +11,7 @@ from repro.flow.netlist import (
     netlist_to_config,
     parse_netlist,
 )
+from repro.rf.cascade import CascadeAnalysis, StageSpec
 from repro.rf.frontend import FrontendConfig
 
 mac_bodies = st.binary(min_size=0, max_size=256)
@@ -61,7 +61,7 @@ class TestBudgetProperties:
     def test_cascade_nf_at_least_first_stage(self, gains, nfs):
         n = min(len(gains), len(nfs))
         stages = [
-            Stage(f"s{i}", gains[i], nfs[i]) for i in range(n)
+            StageSpec(f"s{i}", gains[i], nfs[i]) for i in range(n)
         ]
         analysis = CascadeAnalysis(stages)
         assert analysis.total_nf_db >= nfs[0] - 1e-9
@@ -73,7 +73,7 @@ class TestBudgetProperties:
     @settings(max_examples=60, deadline=None)
     def test_cumulative_nf_monotone(self, gains, nfs):
         n = min(len(gains), len(nfs))
-        stages = [Stage(f"s{i}", gains[i], nfs[i]) for i in range(n)]
+        stages = [StageSpec(f"s{i}", gains[i], nfs[i]) for i in range(n)]
         rows = CascadeAnalysis(stages).rows()
         nf_values = [r.cumulative_nf_db for r in rows]
         for earlier, later in zip(nf_values, nf_values[1:]):
@@ -85,7 +85,7 @@ class TestBudgetProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_single_stage_identity(self, gain, iip3):
-        a = CascadeAnalysis([Stage("x", gain, 0.0, iip3)])
+        a = CascadeAnalysis([StageSpec("x", gain, 0.0, iip3)])
         assert a.total_iip3_dbm == pytest.approx(iip3, abs=1e-6)
 
 

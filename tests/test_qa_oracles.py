@@ -141,37 +141,39 @@ class TestCascadeOracle:
 
 class TestCascadeFormulas:
     def test_friis_single_stage(self):
-        from repro.rf import StageSpec, friis_noise_figure_db
+        from repro.rf import CascadeAnalysis, StageSpec
 
         stages = [StageSpec("lna", gain_db=20.0, nf_db=2.5)]
-        assert friis_noise_figure_db(stages) == pytest.approx(2.5)
+        assert CascadeAnalysis(stages).total_nf_db == pytest.approx(2.5)
 
     def test_friis_second_stage_suppressed_by_gain(self):
-        from repro.rf import StageSpec, friis_noise_figure_db
+        from repro.rf import CascadeAnalysis, StageSpec
 
         stages = [
             StageSpec("lna", gain_db=20.0, nf_db=2.0),
             StageSpec("mixer", gain_db=0.0, nf_db=10.0),
         ]
-        total = friis_noise_figure_db(stages)
+        total = CascadeAnalysis(stages).total_nf_db
         assert 2.0 < total < 3.0
 
     def test_cascade_iip3_dominated_by_last_stage(self):
-        from repro.rf import StageSpec, cascade_iip3_dbm
+        from repro.rf import CascadeAnalysis, StageSpec
 
         stages = [
             StageSpec("lna", gain_db=20.0, iip3_dbm=10.0),
             StageSpec("mixer", gain_db=0.0, iip3_dbm=5.0),
         ]
         # Referred to the input, the mixer contributes at 5 - 20 dBm.
-        assert cascade_iip3_dbm(stages) == pytest.approx(-15.0, abs=0.2)
+        assert CascadeAnalysis(stages).total_iip3_dbm == pytest.approx(
+            -15.0, abs=0.2
+        )
 
     def test_gain_sums(self):
-        from repro.rf import StageSpec, cascade_gain_db
+        from repro.rf import CascadeAnalysis, StageSpec
 
         stages = [
             StageSpec("a", gain_db=12.0),
             StageSpec("b", gain_db=-3.0),
             StageSpec("c", gain_db=21.0),
         ]
-        assert cascade_gain_db(stages) == pytest.approx(30.0)
+        assert CascadeAnalysis(stages).total_gain_db == pytest.approx(30.0)
